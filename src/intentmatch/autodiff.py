@@ -369,23 +369,14 @@ def relu(a):
     return _record(out, (a,), bw)
 
 
-def _sigmoid_stable(x):
+def stable_sigmoid(x):
+    """Elementwise logistic function of a float array, overflow-free for any x."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a):
-    out = Tensor(_sigmoid_stable(a.data))
-
-    def bw(g):
-        if a.requires_grad:
-            a.grad += g * out.data * (1.0 - out.data)
-
-    return _record(out, (a,), bw)
 
 
 def softplus(a):
@@ -395,7 +386,7 @@ def softplus(a):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * _sigmoid_stable(x)
+            a.grad += g * stable_sigmoid(x)
 
     return _record(out, (a,), bw)
 

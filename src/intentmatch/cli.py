@@ -13,12 +13,17 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataFormatError, VocabError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    CorruptCheckpointError,
+    DataFormatError,
+    VocabError,
+)
 from .evaluation import (
     decide,
     evaluate,
@@ -28,7 +33,7 @@ from .evaluation import (
     render_text_report,
     run_ablation_suite,
 )
-from .model import Model, ModelConfig, VARIANTS
+from .model import Model, ModelConfig
 from .synthetic import SyntheticConfig, generate_synthetic
 from .textdata import (
     load_categories,
@@ -42,37 +47,6 @@ from .textdata import (
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
-@dataclass
-class RunConfig:
-    """Every tunable, with desk-scale defaults."""
-
-    d: int = 64
-    l_q: int = 16
-    l_c: int = 32
-    encoder_layers: int = 2
-    encoder_heads: int = 4
-    encoder_ffn: int = 0
-    conv_filters: int = 8
-    conv_window: tuple = (3, 3)
-    conv_stride: tuple = (1, 1)
-    pool_window: tuple = (2, 2)
-    pool_stride: tuple = (2, 2)
-    conv_blocks: int = 2
-    variant: str = "full"
-    lr: float = 5e-5
-    batch_size: int = 32
-    epochs: int = 10
-    threshold: float = 0.5
-    seed: int = 42
-    workers: int = 1
-
-    def as_dict(self):
-        out = dataclasses.asdict(self)
-        for key in ("conv_window", "conv_stride", "pool_window", "pool_stride"):
-            out[key] = list(out[key])
-        return out
-
-
 def _pair(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -80,28 +54,27 @@ def _pair(text):
     return (int(parts[0]), int(parts[1]))
 
 
-def _add_model_flags(p):
-    p.add_argument("--d", type=int, default=64, help="embedding width")
-    p.add_argument("--l-q", type=int, default=16, help="query length after pad/truncate")
-    p.add_argument("--l-c", type=int, default=32, help="category text length")
-    p.add_argument("--encoder-layers", type=int, default=2)
-    p.add_argument("--encoder-heads", type=int, default=4)
-    p.add_argument("--encoder-ffn", type=int, default=0, help="0 means 4*d")
-    p.add_argument("--conv-filters", type=int, default=8)
-    p.add_argument("--conv-window", type=_pair, default=(3, 3), metavar="H,W")
-    p.add_argument("--conv-stride", type=_pair, default=(1, 1), metavar="H,W")
-    p.add_argument("--pool-window", type=_pair, default=(2, 2), metavar="H,W")
-    p.add_argument("--pool-stride", type=_pair, default=(2, 2), metavar="H,W")
-    p.add_argument("--conv-blocks", type=int, default=2)
-    p.add_argument("--variant", choices=VARIANTS, default="full")
+# fixed by the vocab and category files, so no flag sets them
+_DATA_FIELDS = ("vocab_size", "num_categories")
 
 
-def _add_train_flags(p):
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
+def _add_config_flags(p, *config_classes):
+    """One --flag per config field, with the field's default and metadata."""
+    for cls in config_classes:
+        for f in dataclasses.fields(cls):
+            if f.name in _DATA_FIELDS:
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            if isinstance(f.default, tuple):
+                p.add_argument(flag, type=_pair, default=f.default, metavar="H,W", **f.metadata)
+            else:
+                p.add_argument(flag, type=type(f.default), default=f.default, **f.metadata)
+
+
+def _config_from_args(cls, args, **fixed):
+    """A config dataclass from the parsed flags, plus fields the flags do not set."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+    return cls(**{name: getattr(args, name) for name in names}, **fixed)
 
 
 def make_parser():
@@ -132,8 +105,7 @@ def make_parser():
     t.add_argument("--vocab-file", required=True)
     t.add_argument("--checkpoint-out", required=True)
     t.add_argument("--loss-log", required=True)
-    _add_model_flags(t)
-    _add_train_flags(t)
+    _add_config_flags(t, ModelConfig, TrainConfig)
 
     e = sub.add_parser("eval", help="score a dataset against a checkpoint")
     e.add_argument("--checkpoint", required=True)
@@ -161,31 +133,6 @@ def _require_files(*paths):
     for p in paths:
         if p is not None and not Path(p).exists():
             raise FileNotFoundError(f"missing file: {p}")
-
-
-def _run_config_from_args(args):
-    return RunConfig(
-        d=args.d, l_q=args.l_q, l_c=args.l_c,
-        encoder_layers=args.encoder_layers, encoder_heads=args.encoder_heads,
-        encoder_ffn=args.encoder_ffn, conv_filters=args.conv_filters,
-        conv_window=args.conv_window, conv_stride=args.conv_stride,
-        pool_window=args.pool_window, pool_stride=args.pool_stride,
-        conv_blocks=args.conv_blocks, variant=args.variant,
-        lr=args.lr, batch_size=args.batch_size, epochs=args.epochs,
-        seed=args.seed, workers=args.workers,
-    )
-
-
-def _model_config(run, vocab, cats):
-    return ModelConfig(
-        vocab_size=len(vocab), num_categories=len(cats),
-        d=run.d, l_q=run.l_q, l_c=run.l_c,
-        encoder_layers=run.encoder_layers, encoder_heads=run.encoder_heads,
-        encoder_ffn=run.encoder_ffn, conv_filters=run.conv_filters,
-        conv_window=run.conv_window, conv_stride=run.conv_stride,
-        pool_window=run.pool_window, pool_stride=run.pool_stride,
-        conv_blocks=run.conv_blocks, variant=run.variant,
-    )
 
 
 def cmd_gen(args):
@@ -219,14 +166,15 @@ def cmd_gen(args):
 
 
 def cmd_train(args):
+    tc = _config_from_args(TrainConfig, args)
     _require_files(args.train_file, args.categories_file, args.vocab_file)
-    run = _run_config_from_args(args)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
-    data = load_dataset(args.train_file, vocab, len(cats), l_max=run.l_q)
-    model = Model(_model_config(run, vocab, cats), np.random.default_rng(run.seed))
-    tc = TrainConfig(epochs=run.epochs, batch_size=run.batch_size, lr=run.lr,
-                     seed=run.seed, workers=run.workers)
+    config = _config_from_args(
+        ModelConfig, args, vocab_size=len(vocab), num_categories=len(cats)
+    )
+    data = load_dataset(args.train_file, vocab, len(cats), l_max=config.l_q)
+    model = Model(config, np.random.default_rng(tc.seed))
     lines = []
 
     def log_fn(epoch, loss):
@@ -236,8 +184,10 @@ def cmd_train(args):
 
     history, state = train(model, data, cats, tc, log_fn=log_fn)
     Path(args.loss_log).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    run_config = {k: v for k, v in dataclasses.asdict(config).items() if k not in _DATA_FIELDS}
+    run_config.update(dataclasses.asdict(tc))
     save_checkpoint(args.checkpoint_out, model, vocab, cats, state,
-                    extra={"run_config": run.as_dict()})
+                    extra={"run_config": run_config})
     print(f"checkpoint: {args.checkpoint_out}")
     return 0
 
@@ -278,14 +228,15 @@ def cmd_eval(args):
         _require_files(args.train_file)
         train_data = load_dataset(args.train_file, vocab, len(cats), l_max=model.config.l_q)
         base = dataclasses.replace(model.config, variant="full")
-        # retrain with the settings the checkpoint was built with
-        tc = TrainConfig(
-            epochs=int(run_cfg.get("epochs", 10)),
-            batch_size=int(run_cfg.get("batch_size", 32)),
-            lr=float(run_cfg.get("lr", 5e-5)),
-            seed=int(run_cfg.get("seed", 42)),
-            workers=int(run_cfg.get("workers", 1)),
-        )
+        # retrain with the settings the checkpoint was built with; keys that
+        # are not TrainConfig fields (older checkpoints carry some) are ignored
+        try:
+            tc = TrainConfig(**{
+                f.name: type(f.default)(run_cfg[f.name])
+                for f in dataclasses.fields(TrainConfig) if f.name in run_cfg
+            })
+        except (TypeError, ValueError) as exc:
+            raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
         results = run_ablation_suite(train_data, data, cats, base, tc, model_seed=tc.seed)
         table = "".join(h + "\n" for h in header) + "\n" + render_ablation_table(results)
         Path(args.ablation_out).write_text(table, encoding="utf-8")

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, VocabError
-from .textdata import DEFAULT_CATEGORY_LEN, assemble_category_text
 
 LAYERNORM_EPS = 1e-5
 
@@ -139,7 +138,3 @@ def encode(tokens, params):
         x = _ffn_block(x, layer)
     return x
 
-
-def encode_all_categories(cats, params, l_max=DEFAULT_CATEGORY_LEN):
-    """Encode every category text with the same weights used for queries."""
-    return [encode(assemble_category_text(rec, l_max), params) for rec in cats]

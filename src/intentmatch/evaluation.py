@@ -16,27 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError
-from .model import Model
+from .model import VARIANTS, Model
 from .training import TrainConfig, train
 
 MACRO_CONVENTION = "macro-F1 = unweighted mean of per-category F1"
-ABLATION_VARIANTS = ("full", "no_self", "no_char", "no_semantic")
-
-
-def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def probabilities(logits):
     """Per-category sigmoid over raw logits (Tensor or array)."""
-    return _sigmoid(np.asarray(getattr(logits, "data", logits), dtype=np.float64))
+    return ad.stable_sigmoid(np.asarray(getattr(logits, "data", logits), dtype=np.float64))
 
 
 def decide(logits, threshold=0.5):
@@ -174,7 +164,7 @@ def run_ablation_suite(train_data, test_data, cats, base_config, train_config, m
     so the full-model row is bit-for-bit the standalone full-model run.
     """
     results = []
-    for variant in ABLATION_VARIANTS:
+    for variant in VARIANTS:
         config = dataclasses.replace(base_config, variant=variant)
         model = Model(config, np.random.default_rng(model_seed))
         history, _ = train(model, train_data, cats, train_config)

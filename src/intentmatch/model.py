@@ -17,7 +17,7 @@ Ablation variants drop exactly one of the three views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,19 +33,19 @@ VARIANTS = ("full", "no_self", "no_char", "no_semantic")
 class ModelConfig:
     vocab_size: int
     num_categories: int
-    d: int = 64
-    l_q: int = 16
-    l_c: int = 32
+    d: int = field(default=64, metadata={"help": "embedding width"})
+    l_q: int = field(default=16, metadata={"help": "query length after pad/truncate"})
+    l_c: int = field(default=32, metadata={"help": "category text length"})
     encoder_layers: int = 2
     encoder_heads: int = 4
-    encoder_ffn: int = 0
+    encoder_ffn: int = field(default=0, metadata={"help": "0 means 4*d"})
     conv_filters: int = 8
     conv_window: tuple = (3, 3)
     conv_stride: tuple = (1, 1)
     pool_window: tuple = (2, 2)
     pool_stride: tuple = (2, 2)
     conv_blocks: int = 2
-    variant: str = "full"
+    variant: str = field(default="full", metadata={"choices": VARIANTS})
 
     def __post_init__(self):
         self.conv_window = tuple(self.conv_window)

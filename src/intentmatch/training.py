@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,43 +80,30 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 5e-5
     seed: int = 42
-    workers: int = 1
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
 
 
-def _chunk_forward(model, chunk, cats, inv_batch):
-    """Forward one chunk on its own tape; returns (tape, scaled loss, sum)."""
+def batch_gradients(model, batch, cats):
+    """Accumulate d(mean batch loss)/d(params); returns the mean loss.
+
+    The whole batch, categories included, is recorded on one tape and
+    replayed by one backward call.
+    """
+    inv_batch = 1.0 / len(batch)
     with ad.Tape() as tape:
         cat_enc = model.encode_categories(cats)
         total = None
-        for ex in chunk:
+        for ex in batch:
             loss = multilabel_loss(model.forward(ex.query, cat_enc), ex.labels)
             total = loss if total is None else total + loss
         scaled = total * inv_batch
-    return tape, scaled, float(total.data)
-
-
-def batch_gradients(model, batch, cats, workers=1):
-    """Accumulate d(mean batch loss)/d(params); returns the mean loss.
-
-    Workers build per-chunk forward tapes in parallel; backward replays
-    run on the calling thread in fixed chunk order, so the gradient
-    summation order depends only on (batch, workers), never on thread
-    scheduling.
-    """
-    inv_batch = 1.0 / len(batch)
-    n_chunks = max(1, min(workers, len(batch)))
-    if n_chunks == 1:
-        results = [_chunk_forward(model, batch, cats, inv_batch)]
-    else:
-        bounds = np.linspace(0, len(batch), n_chunks + 1).astype(int)
-        chunks = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(
-                pool.map(lambda c: _chunk_forward(model, c, cats, inv_batch), chunks)
-            )
-    for tape, scaled, _ in results:
-        ad.backward(scaled, tape)
-    return sum(s for _, _, s in results) * inv_batch
+    ad.backward(scaled, tape)
+    return float(total.data) * inv_batch
 
 
 def train(model, data, cats, config, log_fn=None):
@@ -144,7 +130,7 @@ def train(model, data, cats, config, log_fn=None):
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = [data[i] for i in order[start : start + config.batch_size]]
-            mean_loss = batch_gradients(model, batch, cats, config.workers)
+            mean_loss = batch_gradients(model, batch, cats)
             adam_step(named, state)
             loss_sum += mean_loss * len(batch)
         history.append(loss_sum / n)
@@ -164,26 +150,6 @@ class LoadedCheckpoint:
     extra: dict
 
 
-def _model_config_dict(config):
-    return {
-        "vocab_size": config.vocab_size,
-        "num_categories": config.num_categories,
-        "d": config.d,
-        "l_q": config.l_q,
-        "l_c": config.l_c,
-        "encoder_layers": config.encoder_layers,
-        "encoder_heads": config.encoder_heads,
-        "encoder_ffn": config.encoder_ffn,
-        "conv_filters": config.conv_filters,
-        "conv_window": list(config.conv_window),
-        "conv_stride": list(config.conv_stride),
-        "pool_window": list(config.pool_window),
-        "pool_stride": list(config.pool_stride),
-        "conv_blocks": config.conv_blocks,
-        "variant": config.variant,
-    }
-
-
 def _write_tensor(f, arr):
     payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     f.write(struct.pack("<Q", len(payload)))
@@ -193,7 +159,7 @@ def _write_tensor(f, arr):
 def save_checkpoint(path, model, vocab, cats, adam_state=None, extra=None):
     manifest = [[name, list(t.shape)] for name, t in model.parameters()]
     header = {
-        "model": _model_config_dict(model.config),
+        "model": asdict(model.config),
         "vocab_sha256": vocab.fingerprint(),
         "categories_sha256": cats.fingerprint(),
         "params": manifest,
@@ -250,6 +216,15 @@ class _Reader:
         return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
 
+def _header_value(path, block, key, where="header"):
+    """block[key] from the decoded header; CorruptCheckpointError names what is wrong."""
+    if not isinstance(block, dict):
+        raise CorruptCheckpointError(f"{path}: {where} is not a JSON object")
+    if key not in block:
+        raise CorruptCheckpointError(f"{path}: {where} has no {key!r} field")
+    return block[key]
+
+
 def load_checkpoint(path, vocab, cats):
     """Rebuild model (and optimizer state, if saved) from a checkpoint."""
     with open(path, "rb") as f:
@@ -269,32 +244,37 @@ def load_checkpoint(path, vocab, cats):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"{path}: unreadable config block: {exc}") from exc
 
-    model_cfg = header["model"]
-    if model_cfg["num_categories"] != len(cats):
+    model_cfg = _header_value(path, header, "model")
+    num_categories = _header_value(path, model_cfg, "num_categories", '"model" block')
+    if num_categories != len(cats):
         raise ConfigMismatchError(
-            f"checkpoint built for {model_cfg['num_categories']} categories, "
+            f"checkpoint built for {num_categories} categories, "
             f"category set has {len(cats)}"
         )
-    if model_cfg["vocab_size"] != len(vocab):
+    vocab_size = _header_value(path, model_cfg, "vocab_size", '"model" block')
+    if vocab_size != len(vocab):
         raise ConfigMismatchError(
-            f"checkpoint built for vocab size {model_cfg['vocab_size']}, "
-            f"vocab file has {len(vocab)}"
+            f"checkpoint built for vocab size {vocab_size}, vocab file has {len(vocab)}"
         )
-    if header["vocab_sha256"] != vocab.fingerprint():
+    vocab_sha = _header_value(path, header, "vocab_sha256")
+    if vocab_sha != vocab.fingerprint():
         raise ConfigMismatchError(
-            f"vocabulary fingerprint mismatch: checkpoint {header['vocab_sha256'][:12]}..., "
+            f"vocabulary fingerprint mismatch: checkpoint {vocab_sha!s:.12}..., "
             f"loaded vocab {vocab.fingerprint()[:12]}..."
         )
-    if header["categories_sha256"] != cats.fingerprint():
+    cats_sha = _header_value(path, header, "categories_sha256")
+    if cats_sha != cats.fingerprint():
         raise ConfigMismatchError(
             f"category-set fingerprint mismatch: checkpoint "
-            f"{header['categories_sha256'][:12]}..., loaded set {cats.fingerprint()[:12]}..."
+            f"{cats_sha!s:.12}..., loaded set {cats.fingerprint()[:12]}..."
         )
 
-    config = ModelConfig(**model_cfg)
-    model = Model(config, np.random.default_rng(0))
+    try:
+        model = Model(ModelConfig(**model_cfg), np.random.default_rng(0))
+    except (TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(f'{path}: bad "model" block: {exc}') from exc
     manifest = [[name, list(t.shape)] for name, t in model.parameters()]
-    if manifest != header["params"]:
+    if manifest != _header_value(path, header, "params"):
         raise CorruptCheckpointError(
             f"{path}: parameter manifest does not match the stored config"
         )
@@ -302,12 +282,12 @@ def load_checkpoint(path, vocab, cats):
         tensor.data[...] = r.tensor(tensor.shape, name)
 
     adam_state = None
-    opt = header["optimizer"]
+    opt = _header_value(path, header, "optimizer")
     if opt is not None:
-        adam_state = AdamState(
-            lr=opt["lr"], beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"],
-            step=opt["step"],
-        )
+        adam_state = AdamState(**{
+            key: _header_value(path, opt, key, '"optimizer" block')
+            for key in ("lr", "beta1", "beta2", "eps", "step")
+        })
         for name, tensor in model.parameters():
             adam_state.m[name] = r.tensor(tensor.shape, f"adam m[{name}]")
             adam_state.v[name] = r.tensor(tensor.shape, f"adam v[{name}]")
@@ -315,4 +295,7 @@ def load_checkpoint(path, vocab, cats):
         raise CorruptCheckpointError(
             f"{path}: {len(raw) - r.pos} trailing bytes after the last tensor"
         )
-    return LoadedCheckpoint(model, adam_state, header.get("extra", {}))
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CorruptCheckpointError(f'{path}: "extra" block is not a JSON object')
+    return LoadedCheckpoint(model, adam_state, extra)

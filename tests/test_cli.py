@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from intentmatch.cli import main
+from intentmatch.cli import main, make_parser
+from intentmatch.model import Model, ModelConfig
 from intentmatch.textdata import load_categories, load_dataset, load_vocab
-from intentmatch.training import load_checkpoint
+from intentmatch.training import load_checkpoint, save_checkpoint
 
 TINY_GEN = [
     "--categories", "3",
@@ -136,6 +137,57 @@ class TestTrain:
         assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
 
 
+TRAIN_FLAG_DEFAULTS = {
+    "d": 64, "l_q": 16, "l_c": 32, "encoder_layers": 2, "encoder_heads": 4,
+    "encoder_ffn": 0, "conv_filters": 8, "conv_window": (3, 3), "conv_stride": (1, 1),
+    "pool_window": (2, 2), "pool_stride": (2, 2), "conv_blocks": 2, "variant": "full",
+    "lr": 5e-5, "batch_size": 32, "epochs": 10, "seed": 42,
+}
+
+TRAIN_REQUIRED = [
+    "--train-file", "t.tsv", "--categories-file", "c.tsv", "--vocab-file", "v.txt",
+    "--checkpoint-out", "m.ckpt", "--loss-log", "l.tsv",
+]
+
+
+class TestTrainFlags:
+    def test_defaults(self):
+        args = vars(make_parser().parse_args(["train", *TRAIN_REQUIRED]))
+        required = {"command", "train_file", "categories_file", "vocab_file",
+                    "checkpoint_out", "loss_log"}
+        assert {k: v for k, v in args.items() if k not in required} == TRAIN_FLAG_DEFAULTS
+
+    def test_pair_flag_parses_to_tuple(self):
+        args = make_parser().parse_args(["train", *TRAIN_REQUIRED, "--conv-window", "3,3"])
+        assert args.conv_window == (3, 3)
+
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "2"], ["--variant", "bogus"], ["--conv-window", "3"]]
+    )
+    def test_rejected_by_argparse(self, flags):
+        with pytest.raises(SystemExit) as info:
+            make_parser().parse_args(["train", *TRAIN_REQUIRED, *flags])
+        assert info.value.code == 2
+
+    def test_zero_batch_size_exits_2_without_traceback(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        capsys.readouterr()
+        rc = main([
+            "train",
+            "--train-file", str(data / "train.tsv"),
+            "--categories-file", str(data / "categories.tsv"),
+            "--vocab-file", str(data / "vocab.txt"),
+            "--checkpoint-out", str(tmp_path / "m.ckpt"),
+            "--loss-log", str(tmp_path / "l.tsv"),
+            "--batch-size", "0",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "batch_size" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestEval:
     def run_eval(self, tmp_path, data, ckpt, extra=()):
         tmp_path.mkdir(parents=True, exist_ok=True)
@@ -187,6 +239,53 @@ class TestEval:
         table = table_path.read_text()
         for row in ("full", "w/o self", "w/o char", "w/o semantic"):
             assert row in table
+
+    def test_checkpoint_from_before_the_config_change(self, tmp_path):
+        """run_config once also carried `workers` and `threshold`."""
+        data = gen(tmp_path)
+        vocab = load_vocab(data / "vocab.txt")
+        cats = load_categories(data / "categories.tsv", vocab)
+        model_fields = dict(
+            d=8, l_q=8, l_c=8, encoder_layers=1, encoder_heads=2, encoder_ffn=0,
+            conv_filters=2, conv_window=(3, 3), conv_stride=(1, 1), pool_window=(2, 2),
+            pool_stride=(2, 2), conv_blocks=1, variant="full",
+        )
+        model = Model(
+            ModelConfig(vocab_size=len(vocab), num_categories=len(cats), **model_fields),
+            np.random.default_rng(0),
+        )
+        run_config = {**model_fields, "lr": 0.002, "batch_size": 8, "epochs": 1,
+                      "seed": 5, "workers": 3, "threshold": 0.5}
+        old, again = tmp_path / "old.ckpt", tmp_path / "again.ckpt"
+        save_checkpoint(old, model, vocab, cats, extra={"run_config": run_config})
+        loaded = load_checkpoint(old, vocab, cats)
+        save_checkpoint(again, loaded.model, vocab, cats, loaded.adam_state, loaded.extra)
+        assert old.read_bytes() == again.read_bytes()
+        table_path = tmp_path / "ablation.txt"
+        rc, _, _ = self.run_eval(
+            tmp_path, data, old,
+            extra=["--ablation", "--train-file", str(data / "train.tsv"),
+                   "--ablation-out", str(table_path)],
+        )
+        assert rc == 0
+        assert "w/o semantic" in table_path.read_text()
+
+    def test_ablation_with_unusable_run_config_exits_3(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        vocab = load_vocab(data / "vocab.txt")
+        cats = load_categories(data / "categories.tsv", vocab)
+        loaded = load_checkpoint(ckpt, vocab, cats)
+        run_config = {**loaded.extra["run_config"], "batch_size": "many"}
+        save_checkpoint(ckpt, loaded.model, vocab, cats, extra={"run_config": run_config})
+        capsys.readouterr()
+        rc, _, _ = self.run_eval(
+            tmp_path, data, ckpt,
+            extra=["--ablation", "--train-file", str(data / "train.tsv"),
+                   "--ablation-out", str(tmp_path / "ablation.txt")],
+        )
+        assert rc == 3
+        assert "run_config" in capsys.readouterr().err
 
     def test_ablation_without_train_file_is_an_error(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -247,6 +346,25 @@ class TestPredict:
         ckpt, _ = train(tmp_path, data)
         rows = self.parse_rows(self.predict(data, ckpt, "", capsys))
         assert len(rows) == 3
+
+    def test_malformed_checkpoint_exits_3_without_traceback(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        raw = ckpt.read_bytes()
+        blob = b"[]"
+        ckpt.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob)
+        capsys.readouterr()
+        rc = main([
+            "predict",
+            "--checkpoint", str(ckpt),
+            "--categories-file", str(data / "categories.tsv"),
+            "--vocab-file", str(data / "vocab.txt"),
+            "--query", "abc",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(ckpt) in err
+        assert "Traceback" not in err
 
     def test_core_token_query_ranks_its_category_first(self, tmp_path, capsys):
         """After real training, a query made of category j's own core

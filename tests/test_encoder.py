@@ -5,8 +5,9 @@ import pytest
 
 from conftest import central_difference_grad, max_rel_err
 from intentmatch import autodiff as ad
-from intentmatch.encoder import EncoderConfig, EncoderParams, encode, encode_all_categories
+from intentmatch.encoder import EncoderConfig, EncoderParams, encode
 from intentmatch.errors import ConfigError, VocabError
+from intentmatch.model import Model, ModelConfig
 from intentmatch.textdata import (
     CategorySet,
     TokenSequence,
@@ -22,6 +23,14 @@ def tiny_params(seed=0, **overrides):
     defaults.update(overrides)
     cfg = EncoderConfig(**defaults)
     return EncoderParams(cfg, np.random.default_rng(seed))
+
+
+def tiny_model(vocab, num_categories):
+    config = ModelConfig(
+        vocab_size=len(vocab), num_categories=num_categories, d=4, l_q=5, l_c=5,
+        encoder_layers=1, encoder_heads=2, encoder_ffn=8, conv_filters=2, conv_blocks=1,
+    )
+    return Model(config, np.random.default_rng(0))
 
 
 def seq(ids, true_length=None):
@@ -100,34 +109,35 @@ class TestSharedSpace:
         assert np.array_equal(query_seq.ids, cat_seq.ids)
         assert np.array_equal(encode(query_seq, p).data, encode(cat_seq, p).data)
 
-    def test_encode_all_categories_matches_per_category_encode(self):
+    def test_encode_categories_matches_per_category_encode(self):
         v = Vocab(list("abcd"))
-        p = tiny_params(vocab_size=len(v))
+        model = tiny_model(v, 2)
         cats = CategorySet(
             [make_category_record(v, 0, "ab", ["c"]), make_category_record(v, 1, "d", [])]
         )
-        outs = encode_all_categories(cats, p, l_max=5)
-        assert len(outs) == 2
-        for rec, out in zip(cats, outs):
-            direct = encode(assemble_category_text(rec, l_max=5), p)
-            assert np.array_equal(out.data, direct.data)
+        outs = model.encode_categories(cats)
+        assert len(outs.tensors) == 2
+        for rec, out, length in zip(cats, outs.tensors, outs.lengths):
+            text = assemble_category_text(rec, l_max=5)
+            assert np.array_equal(out.data, encode(text, model.encoder).data)
+            assert length == text.true_length
 
     def test_identical_category_texts_identical_encodings(self):
         v = Vocab(list("abcd"))
-        p = tiny_params(vocab_size=len(v))
+        model = tiny_model(v, 2)
         cats = CategorySet(
             [make_category_record(v, 0, "ab", []), make_category_record(v, 1, "ab", [])]
         )
-        outs = encode_all_categories(cats, p, l_max=5)
+        outs = model.encode_categories(cats).tensors
         assert np.array_equal(outs[0].data, outs[1].data)
 
     def test_encodings_change_after_parameter_update(self):
         v = Vocab(list("abcd"))
-        p = tiny_params(vocab_size=len(v))
+        model = tiny_model(v, 1)
         cats = CategorySet([make_category_record(v, 0, "ab", [])])
-        before = encode_all_categories(cats, p, l_max=5)[0].data.copy()
-        p.tok_emb.data[2] += 0.5
-        after = encode_all_categories(cats, p, l_max=5)[0].data
+        before = model.encode_categories(cats).tensors[0].data.copy()
+        model.encoder.tok_emb.data[2] += 0.5
+        after = model.encode_categories(cats).tensors[0].data
         assert not np.array_equal(before, after)
 
 

@@ -1,5 +1,7 @@
 """Training loop, Adam, and checkpoint format tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from intentmatch.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    batch_gradients,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -153,31 +154,43 @@ class TestTrainLoop:
         assert seen == [(0, history[0]), (1, history[1])]
 
 
-class TestWorkers:
-    def test_worker_gradients_match_single_worker(self):
-        """Chunked forward/backward computes the same batch gradient."""
-        model_a, data = tiny_setup(seed=2)
-        model_b, _ = tiny_setup(seed=2)
-        batch = data.train[:8]
-        loss_a = batch_gradients(model_a, batch, data.categories, workers=1)
-        loss_b = batch_gradients(model_b, batch, data.categories, workers=3)
-        assert loss_a == pytest.approx(loss_b, rel=1e-12)
-        for (na, ta), (nb, tb) in zip(model_a.parameters(), model_b.parameters()):
-            assert np.allclose(ta.grad, tb.grad, rtol=1e-9, atol=1e-12), na
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "overrides, field", [({"batch_size": 0}, "batch_size"), ({"epochs": -1}, "epochs")]
+    )
+    def test_out_of_range_value_is_config_error(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**overrides)
 
-    def test_multi_worker_training_deterministic(self):
-        runs = []
-        for _ in range(2):
-            model, data = tiny_setup(seed=1)
-            cfg = TrainConfig(epochs=2, batch_size=10, lr=1e-3, seed=5, workers=3)
-            history, _ = train(model, data.train, data.categories, cfg)
-            runs.append(history)
-        assert runs[0] == runs[1]
-
-    def test_more_workers_than_examples(self):
+    def test_zero_epochs_trains_nothing(self):
         model, data = tiny_setup()
-        loss = batch_gradients(model, data.train[:2], data.categories, workers=8)
-        assert np.isfinite(loss)
+        history, state = train(model, data.train, data.categories, TrainConfig(epochs=0))
+        assert history == []
+        assert state.step == 0
+
+
+def rewrite_header(path, mutate):
+    """Replace a checkpoint's JSON header with mutate(header), fixing its length."""
+    raw = path.read_bytes()
+    blob_len = int.from_bytes(raw[8:12], "little")
+    blob = json.dumps(mutate(json.loads(raw[12 : 12 + blob_len]))).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + blob_len :])
+
+
+def without(block, key):
+    return {k: v for k, v in block.items() if k != key}
+
+
+MALFORMED_HEADERS = {
+    "no model block": (lambda h: without(h, "model"), "'model'"),
+    "no params": (lambda h: without(h, "params"), "'params'"),
+    "unknown model key": (lambda h: {**h, "model": {**h["model"], "colour": 1}}, "colour"),
+    "header is a list": (lambda h: list(h), "not a JSON object"),
+    "optimizer without lr": (
+        lambda h: {**h, "optimizer": without(h["optimizer"], "lr")}, "'lr'"
+    ),
+    "extra is a list": (lambda h: {**h, "extra": [1]}, '"extra"'),
+}
 
 
 class TestCheckpoint:
@@ -285,6 +298,19 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CorruptCheckpointError, match="trailing"):
             load_checkpoint(path, data.vocab, data.categories)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_is_corrupt_naming_path_and_field(self, tmp_path, case):
+        mutate, field = MALFORMED_HEADERS[case]
+        model, data = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        state = AdamState.for_params(model.parameters())
+        save_checkpoint(path, model, data.vocab, data.categories, state)
+        rewrite_header(path, mutate)
+        with pytest.raises(CorruptCheckpointError) as info:
+            load_checkpoint(path, data.vocab, data.categories)
+        assert str(path) in str(info.value)
+        assert field in str(info.value)
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"MMAN"
