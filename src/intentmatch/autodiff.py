@@ -253,15 +253,19 @@ def neg(a):
 
 
 def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; leading axes broadcast as in numpy."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g @ b.data.T
-        if b.requires_grad:
-            b.grad += a.data.T @ g
+            a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if b.requires_grad and b.ndim == 2:
+            # a's leading axes fold into rows: one product, no batch sum
+            b.grad += a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
+            b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
 
     return _record(out, (a, b), bw)
 
@@ -271,11 +275,11 @@ def matmul(a, b):
 
 
 def transpose(a, axes=None):
-    out = Tensor(np.transpose(a.data, axes))
+    """Permute axes; the default swaps the last two (a batched matrix transpose)."""
     if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
+        axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
+    out = Tensor(np.transpose(a.data, axes))
+    inv = np.argsort(axes)
 
     def bw(g):
         if a.requires_grad:
@@ -316,18 +320,6 @@ def concat(tensors, axis=0):
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t.grad += g[tuple(sl)]
-
-    return _record(out, tuple(tensors), bw)
-
-
-def stack(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.grad += np.take(g, i, axis=axis)
 
     return _record(out, tuple(tensors), bw)
 
@@ -476,11 +468,25 @@ def _spatial_4d(x):
     raise DimensionError(f"expected 3D [C,H,W] or 4D [N,C,H,W] input, got {x.shape}")
 
 
+# Upper bound, in elements, on the column matrix one conv2d product
+# gathers; larger batches are processed in slices along N.
+_COLUMN_ELEMS = 1 << 20
+
+
+def _columns(windows):
+    """[C*kh*kw, N*ho*wo] column matrix of conv windows [N, C, ho, wo, kh, kw]."""
+    n, c, ho, wo, kh, kw = windows.shape
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
+
+
 def conv2d(x, kernels, bias, stride=(1, 1)):
     """Valid cross-correlation (no kernel flip, no zero padding).
 
     x: [C_in,H,W] or [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw]; bias: [C_out].
     out[n,o,i,j] = bias[o] + sum_{c,a,b} kernels[o,c,a,b] * x[n,c,i*sh+a,j*sw+b]
+
+    Each product is one matmul against the window columns, built for a
+    slice of N at a time and rebuilt in backward rather than kept.
     """
     xd, was_3d = _spatial_4d(x)
     kd = kernels.data
@@ -496,25 +502,38 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
         )
     sh, sw = stride
     windows = sliding_window_view(xd, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    out_data = np.einsum("ncijab,ocab->noij", windows, kd, optimize=True)
+    ho, wo = windows.shape[2], windows.shape[3]
+    step = max(1, _COLUMN_ELEMS // (cin * kh * kw * ho * wo))
+    slices = [slice(s, s + step) for s in range(0, n, step)]
+    k_rows = kd.reshape(cout, cin * kh * kw)
+    out_data = np.empty((n, cout, ho, wo))
+    for sl in slices:
+        prod = np.tensordot(k_rows, _columns(windows[sl]), axes=1)
+        out_data[sl] = np.moveaxis(prod.reshape(cout, -1, ho, wo), 0, 1)
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
-    ho, wo = out_data.shape[2], out_data.shape[3]
+        out_data += bias.data[:, None, None]
     out = Tensor(out_data[0] if was_3d else out_data)
 
     def bw(g):
         g4 = g[None] if was_3d else g
         if bias is not None and bias.requires_grad:
             bias.grad += g4.sum(axis=(0, 2, 3))
-        if kernels.requires_grad:
-            kernels.grad += np.einsum("ncijab,noij->ocab", windows, g4, optimize=True)
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for a in range(kh):
-                for b in range(kw):
-                    # contrib[n,i,j,cin] = sum_o g[n,o,i,j] * k[o,cin,a,b]
-                    contrib = np.tensordot(g4, kd[:, :, a, b], axes=([1], [0]))
-                    gx[:, :, a : a + ho * sh : sh, b : b + wo * sw : sw] += np.moveaxis(contrib, 3, 1)
+        gx = np.zeros_like(xd) if x.requires_grad else None
+        for sl in slices:
+            g_rows = np.moveaxis(g4[sl], 1, 0).reshape(cout, -1)  # [cout, n*ho*wo]
+            if kernels.requires_grad:
+                cols = _columns(windows[sl])
+                kernels.grad += np.tensordot(g_rows, cols, axes=([1], [1])).reshape(kd.shape)
+            if gx is not None:
+                # g_cols[c,a,b,n,i,j] = sum_o k[o,c,a,b] * g[n,o,i,j]
+                g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, -1, ho, wo)
+                gx_sl = gx[sl]
+                for a in range(kh):
+                    for b in range(kw):
+                        gx_sl[:, :, a : a + ho * sh : sh, b : b + wo * sw : sw] += np.moveaxis(
+                            g_cols[:, a, b], 0, 1
+                        )
+        if gx is not None:
             x.grad += gx[0] if was_3d else gx
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
@@ -530,25 +549,37 @@ def maxpool2d(x, window, stride):
     xd, was_3d = _spatial_4d(x)
     ph, pw = window
     sh, sw = stride
-    n, c, h, w = xd.shape
+    h, w = xd.shape[2:]
     if ph > h or pw > w:
         raise DimensionError(f"maxpool2d window {ph}x{pw} exceeds input {h}x{w}")
-    windows = sliding_window_view(xd, (ph, pw), axis=(2, 3))[:, :, ::sh, ::sw]
-    nw, cw, ho, wo = windows.shape[:4]
-    flat = windows.reshape(n, c, ho, wo, ph * pw)
-    idx = flat.argmax(axis=-1)  # first occurrence on ties (row-major scan)
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    ho, wo = (h - ph) // sh + 1, (w - pw) // sw + 1
+
+    def offset(k):
+        """Slices picking, for every window, its element at row-major offset k."""
+        a, b = divmod(k, pw)
+        return (slice(None), slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
+
+    out_data = xd[offset(0)].copy()
+    for k in range(1, ph * pw):
+        np.maximum(out_data, xd[offset(k)], out=out_data)
     out = Tensor(out_data[0] if was_3d else out_data)
 
     def bw(g):
         if not x.requires_grad:
             return
         g4 = g[None] if was_3d else g
+        # hits[k]: windows whose first row-major maximum sits at offset k
+        taken = np.zeros(out_data.shape, dtype=bool)
+        hits = []
+        for k in range(ph * pw):
+            hit = (xd[offset(k)] == out_data) > taken
+            taken |= hit
+            hits.append(hit)
         gx = np.zeros_like(xd)
-        ni, ci, ii, ji = np.indices((n, c, ho, wo))
-        rows = ii * sh + idx // pw
-        cols = ji * sw + idx % pw
-        np.add.at(gx, (ni, ci, rows, cols), g4)
+        # descending offsets add each input position's contributions in
+        # row-major window order
+        for k in reversed(range(ph * pw)):
+            gx[offset(k)] += g4 * hits[k]
         x.grad += gx[0] if was_3d else gx
 
     return _record(out, (x,), bw)

@@ -85,33 +85,31 @@ class EncoderParams:
 
 
 def layer_norm(x, gamma, beta, eps=LAYERNORM_EPS):
-    """Row-wise normalization to zero mean / unit variance, then affine."""
-    mu = ad.reduce_mean(x, axis=1, keepdims=True)
+    """Normalization over the last axis to zero mean / unit variance, then affine."""
+    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
     centered = x - mu
-    var = ad.reduce_mean(centered * centered, axis=1, keepdims=True)
+    var = ad.reduce_mean(centered * centered, axis=-1, keepdims=True)
     normed = centered / ad.sqrt(var + eps)
     return normed * gamma + beta
 
 
 def _attention_block(x, layer, key_mask, num_heads):
-    length, d = x.shape
+    """Multi-head self-attention over [B, L, d], heads laid out as [B, H, L, dh]."""
+    batch, length, d = x.shape
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
-    q_all = x @ layer["w_q"]
-    k_all = x @ layer["w_k"]
-    v_all = x @ layer["w_v"]
-    heads = []
-    for h in range(num_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        qh = q_all[:, cols]
-        kh = k_all[:, cols]
-        vh = v_all[:, cols]
-        scores = (qh @ ad.transpose(kh)) * scale
-        # PAD keys get exactly zero attention from every position
-        attn = ad.softmax(scores, axis=1, mask=key_mask[None, :])
-        heads.append(attn @ vh)
-    merged = ad.concat(heads, axis=1) @ layer["w_o"]
-    return layer_norm(x + merged, layer["ln1_g"], layer["ln1_b"])
+
+    def heads(t, axes):
+        return ad.transpose(ad.reshape(t, (batch, length, num_heads, dh)), axes)
+
+    q = heads(x @ layer["w_q"], (0, 2, 1, 3))
+    k_t = heads(x @ layer["w_k"], (0, 2, 3, 1))  # [B, H, dh, L]
+    v = heads(x @ layer["w_v"], (0, 2, 1, 3))
+    scores = (q @ k_t) * scale
+    # PAD keys get exactly zero attention from every position
+    attn = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
+    merged = ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (batch, length, d))
+    return layer_norm(x + merged @ layer["w_o"], layer["ln1_g"], layer["ln1_b"])
 
 
 def _ffn_block(x, layer):
@@ -120,21 +118,29 @@ def _ffn_block(x, layer):
     return layer_norm(x + out, layer["ln2_g"], layer["ln2_b"])
 
 
-def encode(tokens, params):
-    """Contextual embeddings [L x d] for one fixed-length token sequence."""
+def length_mask(lengths, length):
+    """Boolean [..., length] mask: True at the first `lengths` positions of each row."""
+    return np.arange(length) < np.asarray(lengths)[..., None]
+
+
+def encode(ids, lengths, params):
+    """Contextual embeddings [B, L, d] for a batch of B fixed-length id rows.
+
+    ids is [B, L]; lengths holds each row's true (pre-padding) length.
+    """
     c = params.config
-    ids = np.asarray(tokens.ids)
-    length = len(ids)
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ConfigError(f"encode expects [batch, length] ids, got shape {ids.shape}")
+    length = ids.shape[1]
     if length > c.max_len:
         raise ConfigError(f"sequence length {length} exceeds max_len {c.max_len}")
     if ids.min() < 0 or ids.max() >= c.vocab_size:
         bad = ids[(ids < 0) | (ids >= c.vocab_size)][0]
         raise VocabError(f"token id {bad} outside vocab of size {c.vocab_size}")
     x = ad.embedding(params.tok_emb, ids) + params.pos_emb[:length]
-    key_mask = np.zeros(length)
-    key_mask[: tokens.true_length] = 1.0
+    key_mask = length_mask(lengths, length)
     for layer in params.layers:
         x = _attention_block(x, layer, key_mask, c.num_heads)
         x = _ffn_block(x, layer)
     return x
-

@@ -22,6 +22,8 @@ from .model import VARIANTS, Model
 from .training import TrainConfig, train
 
 MACRO_CONVENTION = "macro-F1 = unweighted mean of per-category F1"
+# queries per batched forward in `evaluate`
+EVAL_CHUNK = 32
 
 
 def probabilities(logits):
@@ -95,13 +97,18 @@ def compute_metrics(preds, golds, threshold=0.5):
 
 
 def evaluate(model, data, cats, threshold=0.5):
-    """Forward every query (no gradients) and score against gold labels."""
+    """Forward every query (no gradients) and score against gold labels.
+
+    Queries run in batches of EVAL_CHUNK, so memory stays bounded however
+    large the dataset is.
+    """
     cat_enc = model.encode_categories(cats)
     preds, golds = [], []
-    for ex in data:
-        logits = model.forward(ex.query, cat_enc)
-        preds.append(decide(logits, threshold))
-        golds.append(ex.labels)
+    for start in range(0, len(data), EVAL_CHUNK):
+        chunk = data[start : start + EVAL_CHUNK]
+        logits = model.forward([ex.query for ex in chunk], cat_enc)
+        preds.extend(decide(logits, threshold))
+        golds.extend(ex.labels for ex in chunk)
     return compute_metrics(preds, golds, threshold)
 
 

@@ -5,14 +5,18 @@ Three views of one query are combined to score every category at once:
 * self-matching: attention pooling of the query over its own tokens,
   giving a single query vector q;
 * char-level matching: a bilinear token-by-token interaction map per
-  category, stacked into a category-channel image and pushed through a
-  shared conv/pool stack to fine-grained features Z1;
+  query/category pair, each pushed through a shared conv/pool stack to
+  fine-grained features Z1;
 * semantic-level matching: mean-pooled category vectors cross-attend
   over query tokens, giving coarse-grained features Z2.
 
 A fusion head mixes q, Z1 and Z2 into one logit per category; training
 uses the summed per-label binary cross entropy in its stable logit form.
 Ablation variants drop exactly one of the three views.
+
+The model runs on a batch of queries: every activation carries a leading
+batch axis, all query/category maps of a batch go through the conv/pool
+stack as one stack of images, and a single query is the batch of one.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import EncoderConfig, EncoderParams, encode
+from .encoder import EncoderConfig, EncoderParams, encode, length_mask
 from .errors import ConfigError
-from .textdata import assemble_category_text
+from .textdata import TokenSequence, assemble_category_text
 
 VARIANTS = ("full", "no_self", "no_char", "no_semantic")
 
@@ -180,80 +184,97 @@ class FusionParams:
 
 @dataclass
 class MatchFeatures:
-    """Per-query matching views; a field is None in its ablation variant."""
+    """Matching views of a batch of B queries; a field is None in its ablation variant.
 
-    q: ad.Tensor | None  # [d]
-    z1: ad.Tensor | None  # [num_categories x d]
-    z2: ad.Tensor | None  # [num_categories x d]
+    Unbatched callers may drop the leading B axis from every field.
+    """
+
+    q: ad.Tensor | None  # [B, d]
+    z1: ad.Tensor | None  # [B, num_categories, d]
+    z2: ad.Tensor | None  # [B, num_categories, d]
 
 
 @dataclass
 class CategoryEncodings:
-    """Encoded category texts plus their pre-padding lengths."""
+    """All category texts encoded at once, plus their pre-padding lengths."""
 
-    tensors: list
-    lengths: list
+    tensors: ad.Tensor  # [num_categories, l_c, d]
+    lengths: np.ndarray  # [num_categories]
 
 
 def self_match(q_enc, params, true_length):
     """Pool query tokens into one vector by learned attention.
 
-    Scores are v . tanh(W_q Q^T); PAD positions are masked before the
-    softmax, so alpha is exactly zero there and sums to one over the rest.
+    q_enc is [..., L, d] with one true length per leading index. Scores are
+    v . tanh(W_q Q^T); PAD positions are masked before the softmax, so alpha
+    is exactly zero there and sums to one over the rest.
+    Returns the pooled [..., d] and alpha [..., L].
     """
-    scores = params.v @ ad.tanh(params.w_q @ ad.transpose(q_enc))
-    mask = np.zeros((1, q_enc.shape[0]))
-    mask[0, :true_length] = 1.0
-    alpha = ad.softmax(scores, axis=1, mask=mask)
+    *lead, length, d = q_enc.shape
+    scores = params.v @ ad.tanh(params.w_q @ ad.transpose(q_enc))  # [..., 1, L]
+    mask = length_mask(true_length, length)[..., None, :]
+    alpha = ad.softmax(scores, axis=-1, mask=mask)
     pooled = alpha @ q_enc
-    d = q_enc.shape[1]
-    return ad.reshape(pooled, (d,)), ad.reshape(alpha, (q_enc.shape[0],))
+    return ad.reshape(pooled, (*lead, d)), ad.reshape(alpha, (*lead, length))
 
 
 def char_interaction(q_enc, c_enc, params):
-    """Bilinear token-by-token relevance map Q W_qc C^T."""
+    """Bilinear token-by-token relevance maps Q W_qc C^T.
+
+    Leading axes broadcast: [B, 1, Lq, d] queries against [N, Lc, d]
+    categories give all [B, N, Lq, Lc] maps in one product.
+    """
     return (q_enc @ params.w_qc) @ ad.transpose(c_enc)
 
 
 def char_match(m, params, config):
-    """Conv/pool the stacked interaction maps, project to one row per category.
+    """Conv/pool interaction maps [..., Lq, Lc], project to one [..., d] row each.
 
-    The category axis rides the batch dimension, so every category shares
-    the same filters and projection.
+    Every leading index rides the conv batch dimension, so all queries and
+    categories share the same filters and projection. Each block is
+    conv, ReLU, max-pool; ReLU runs after the pool, on the smaller map,
+    which gives the same values and gradients because max and ReLU commute.
     """
-    n = m.shape[0]
-    x = ad.reshape(m, (n, 1, m.shape[1], m.shape[2]))
+    *lead, h, w = m.shape
+    x = ad.reshape(m, (-1, 1, h, w))
     for kernels, bias in zip(params.conv_kernels, params.conv_biases):
-        x = ad.relu(ad.conv2d(x, kernels, bias, stride=config.conv_stride))
-        x = ad.maxpool2d(x, config.pool_window, config.pool_stride)
-    return ad.reshape(x, (n, flat_dim(config))) @ params.projection
+        x = ad.conv2d(x, kernels, bias, stride=config.conv_stride)
+        x = ad.relu(ad.maxpool2d(x, config.pool_window, config.pool_stride))
+    return ad.reshape(x, (*lead, flat_dim(config))) @ params.projection
 
 
-def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths=None):
-    """Cross-attention of mean-pooled category vectors over query tokens."""
-    rows = []
-    for j, c_enc in enumerate(cat_tensors):
-        tl = c_enc.shape[0] if cat_lengths is None else cat_lengths[j]
-        rows.append(ad.reduce_mean(c_enc[:tl], axis=0))
-    c_mat = ad.stack(rows, axis=0)
-    scores = (c_mat @ params.w_qs) @ ad.transpose(q_enc)
-    mask = np.zeros((1, q_enc.shape[0]))
-    mask[0, :true_length] = 1.0
-    attn = ad.softmax(scores, axis=1, mask=mask)
+def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths):
+    """Cross-attention of mean-pooled category vectors over query tokens.
+
+    q_enc is [..., Lq, d] with its true lengths; cat_tensors is [N, Lc, d].
+    The mean over each category's first cat_lengths[j] rows is one masked
+    matmul. Returns [..., N, d].
+    """
+    n, lc, _ = cat_tensors.shape
+    lens = np.asarray(cat_lengths)
+    weights = length_mask(lens, lc) / lens[:, None]
+    c_mat = ad.reshape(ad.as_tensor(weights[:, None, :]) @ cat_tensors, (n, -1))
+    scores = (c_mat @ params.w_qs) @ ad.transpose(q_enc)  # [..., N, Lq]
+    mask = length_mask(true_length, q_enc.shape[-2])[..., None, :]
+    attn = ad.softmax(scores, axis=-1, mask=mask)
     return attn @ q_enc
 
 
 def fuse_and_score(features, params):
-    """One logit per category from whichever views the variant keeps."""
+    """One logit per category from whichever views the variant keeps.
+
+    Features carry an optional leading batch axis; logits come back as
+    [B, num_categories], or [num_categories] for unbatched features.
+    """
     parts = [z for z in (features.z1, features.z2) if z is not None]
-    z_cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
-    pre = ad.transpose(z_cat @ params.w_z)  # [1 x num_categories]
+    z_cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
+    rows = z_cat.shape[:-1]  # (..., num_categories)
+    pre = ad.reshape(z_cat @ params.w_z, (-1, rows[-1]))
     if params.w_qf is not None:
-        d = features.q.shape[0]
-        pre = ad.reshape(features.q, (1, d)) @ params.w_qf + pre
-    h = ad.relu(pre)
-    logits = h @ params.w_x
-    return ad.reshape(logits, (logits.shape[1],))
+        d = features.q.shape[-1]
+        pre = ad.reshape(features.q, (-1, d)) @ params.w_qf + pre
+    logits = ad.relu(pre) @ params.w_x
+    return ad.reshape(logits, rows)
 
 
 def multilabel_loss(logits, labels):
@@ -301,43 +322,56 @@ class Model:
         return sum(t.size for _, t in self.parameters())
 
     def encode_categories(self, cats):
+        """Encode every category text in one batched `encode` call."""
         if len(cats) != self.config.num_categories:
             raise ConfigError(
                 f"category set has {len(cats)} entries, model expects "
                 f"{self.config.num_categories}"
             )
-        tensors, lengths = [], []
-        for rec in cats:
-            seq = assemble_category_text(rec, self.config.l_c)
-            tensors.append(encode(seq, self.encoder))
-            lengths.append(seq.true_length)
-        return CategoryEncodings(tensors, lengths)
+        seqs = [assemble_category_text(rec, self.config.l_c) for rec in cats]
+        ids, lengths = _stack_sequences(seqs)
+        return CategoryEncodings(encode(ids, lengths, self.encoder), lengths)
 
     def forward(self, query, cat_encodings):
-        """Logits [num_categories] for one tokenized query."""
+        """Logits for tokenized queries against encoded categories.
+
+        `query` is one TokenSequence, giving [num_categories] logits, or a
+        list of B of them, giving [B, num_categories]. A single query runs
+        as the batch of one.
+        """
         cfg = self.config
-        if len(query.ids) != cfg.l_q:
-            raise ConfigError(f"query length {len(query.ids)} != configured l_q {cfg.l_q}")
-        q_enc = encode(query, self.encoder)
-        tl = query.true_length
-        q = alpha = z1 = z2 = None
+        single = isinstance(query, TokenSequence)
+        queries = [query] if single else query
+        for seq in queries:
+            if len(seq.ids) != cfg.l_q:
+                raise ConfigError(f"query length {len(seq.ids)} != configured l_q {cfg.l_q}")
+        ids, lengths = _stack_sequences(queries)
+        q_enc = encode(ids, lengths, self.encoder)  # [B, Lq, d]
+        q = z1 = z2 = None
         if self.self_params is not None:
-            q, alpha = self_match(q_enc, self.self_params, tl)
+            q, _ = self_match(q_enc, self.self_params, lengths)
         if self.char_params is not None:
-            maps = [
-                char_interaction(q_enc, c_enc, self.char_params)
-                for c_enc in cat_encodings.tensors
-            ]
-            z1 = char_match(ad.stack(maps, axis=0), self.char_params, cfg)
+            b, lq, d = q_enc.shape
+            maps = char_interaction(
+                ad.reshape(q_enc, (b, 1, lq, d)), cat_encodings.tensors, self.char_params
+            )
+            z1 = char_match(maps, self.char_params, cfg)
         if self.semantic_params is not None:
             z2 = semantic_match(
                 q_enc,
                 cat_encodings.tensors,
                 self.semantic_params,
-                tl,
+                lengths,
                 cat_encodings.lengths,
             )
-        return fuse_and_score(MatchFeatures(q, z1, z2), self.fusion)
+        logits = fuse_and_score(MatchFeatures(q, z1, z2), self.fusion)
+        return ad.reshape(logits, (logits.shape[1],)) if single else logits
 
     def forward_with_categories(self, query, cats):
         return self.forward(query, self.encode_categories(cats))
+
+
+def _stack_sequences(seqs):
+    """[B, L] ids and [B] true lengths from B equal-length token sequences."""
+    ids = np.stack([s.ids for s in seqs])
+    return ids, np.array([s.true_length for s in seqs])

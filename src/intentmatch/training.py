@@ -14,6 +14,7 @@ keys, no whitespace) makes save -> load -> save byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -86,21 +87,22 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number above 0, got {self.lr}")
 
 
 def batch_gradients(model, batch, cats):
     """Accumulate d(mean batch loss)/d(params); returns the mean loss.
 
-    The whole batch, categories included, is recorded on one tape and
+    The whole batch, categories included, runs as one batched forward on
+    one tape, so the tape's length does not grow with the batch, and is
     replayed by one backward call.
     """
     inv_batch = 1.0 / len(batch)
     with ad.Tape() as tape:
         cat_enc = model.encode_categories(cats)
-        total = None
-        for ex in batch:
-            loss = multilabel_loss(model.forward(ex.query, cat_enc), ex.labels)
-            total = loss if total is None else total + loss
+        logits = model.forward([ex.query for ex in batch], cat_enc)
+        total = multilabel_loss(logits, np.stack([ex.labels for ex in batch]))
         scaled = total * inv_batch
     ad.backward(scaled, tape)
     return float(total.data) * inv_batch
@@ -298,4 +300,6 @@ def load_checkpoint(path, vocab, cats):
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise CorruptCheckpointError(f'{path}: "extra" block is not a JSON object')
+    if not isinstance(extra.get("run_config", {}), dict):
+        raise CorruptCheckpointError(f'{path}: "extra.run_config" is not a JSON object')
     return LoadedCheckpoint(model, adam_state, extra)

@@ -217,7 +217,7 @@ def test_c2_seven_ops_match_brute_force_oracles():
         p = SemanticMatchParams(d, rng)
         got = semantic_match(
             ad.Tensor(q_rows),
-            [ad.Tensor(c) for c in cat_rows],
+            ad.Tensor(np.stack(cat_rows)),
             p,
             tl,
             cat_lengths,

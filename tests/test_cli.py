@@ -188,6 +188,26 @@ class TestTrainFlags:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_lr_exits_2_without_checkpoint(self, tmp_path, capsys, lr):
+        data = gen(tmp_path)
+        capsys.readouterr()
+        rc = main([
+            "train",
+            "--train-file", str(data / "train.tsv"),
+            "--categories-file", str(data / "categories.tsv"),
+            "--vocab-file", str(data / "vocab.txt"),
+            "--checkpoint-out", str(tmp_path / "m.ckpt"),
+            "--loss-log", str(tmp_path / "l.tsv"),
+            "--lr", lr,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "lr" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestEval:
     def run_eval(self, tmp_path, data, ckpt, extra=()):
         tmp_path.mkdir(parents=True, exist_ok=True)
@@ -286,6 +306,29 @@ class TestEval:
         )
         assert rc == 3
         assert "run_config" in capsys.readouterr().err
+
+    def test_run_config_not_an_object_exits_3_in_eval_and_predict(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        vocab = load_vocab(data / "vocab.txt")
+        cats = load_categories(data / "categories.tsv", vocab)
+        loaded = load_checkpoint(ckpt, vocab, cats)
+        save_checkpoint(ckpt, loaded.model, vocab, cats, extra={"run_config": [1, 2]})
+        capsys.readouterr()
+        rc, _, _ = self.run_eval(tmp_path, data, ckpt)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "run_config" in err and "Traceback" not in err
+        rc = main([
+            "predict",
+            "--checkpoint", str(ckpt),
+            "--categories-file", str(data / "categories.tsv"),
+            "--vocab-file", str(data / "vocab.txt"),
+            "--query", "abc",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "run_config" in err and "Traceback" not in err
 
     def test_ablation_without_train_file_is_an_error(self, tmp_path, capsys):
         data = gen(tmp_path)

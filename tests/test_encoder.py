@@ -38,6 +38,11 @@ def seq(ids, true_length=None):
     return TokenSequence(ids, len(ids) if true_length is None else true_length)
 
 
+def encode_one(s, p):
+    """The [L, d] rows of one sequence, encoded as a batch of one."""
+    return encode(s.ids[None], [s.true_length], p)[0]
+
+
 class TestConfig:
     def test_heads_must_divide_d(self):
         with pytest.raises(ConfigError, match="num_heads"):
@@ -52,15 +57,15 @@ class TestDegenerateStack:
         """num_layers=0 output equals token plus position rows exactly."""
         p = tiny_params(num_layers=0)
         s = seq([2, 5, 3])
-        out = encode(s, p)
+        out = encode_one(s, p)
         expected = p.tok_emb.data[[2, 5, 3]] + p.pos_emb.data[:3]
         assert np.array_equal(out.data, expected)
 
     def test_swap_moves_token_component_only(self):
         """Swapping two tokens permutes the token part; position part stays."""
         p = tiny_params(num_layers=0)
-        a = encode(seq([2, 5, 3]), p).data - p.pos_emb.data[:3]
-        b = encode(seq([5, 2, 3]), p).data - p.pos_emb.data[:3]
+        a = encode_one(seq([2, 5, 3]), p).data - p.pos_emb.data[:3]
+        b = encode_one(seq([5, 2, 3]), p).data - p.pos_emb.data[:3]
         assert np.array_equal(a[0], b[1])
         assert np.array_equal(a[1], b[0])
         assert np.array_equal(a[2], b[2])
@@ -68,34 +73,34 @@ class TestDegenerateStack:
     def test_deterministic(self):
         p = tiny_params()
         s = seq([2, 5, 3, 0], true_length=3)
-        assert np.array_equal(encode(s, p).data, encode(s, p).data)
+        assert np.array_equal(encode_one(s, p).data, encode_one(s, p).data)
 
 
 class TestValidation:
     def test_out_of_range_id(self):
         p = tiny_params()
         with pytest.raises(VocabError, match="99"):
-            encode(seq([2, 99]), p)
+            encode_one(seq([2, 99]), p)
 
     def test_sequence_longer_than_position_table(self):
         p = tiny_params(max_len=3)
         with pytest.raises(ConfigError, match="max_len"):
-            encode(seq([2, 2, 2, 2]), p)
+            encode_one(seq([2, 2, 2, 2]), p)
 
 
 class TestMasking:
     def test_pad_ids_never_leak_into_valid_positions(self):
         """Non-pad outputs are bit-identical whatever sits in PAD slots."""
         p = tiny_params(num_layers=2)
-        base = encode(seq([2, 5, 0, 0], true_length=2), p).data
-        poisoned = encode(seq([2, 5, 7, 6], true_length=2), p).data
+        base = encode_one(seq([2, 5, 0, 0], true_length=2), p).data
+        poisoned = encode_one(seq([2, 5, 7, 6], true_length=2), p).data
         assert np.array_equal(base[:2], poisoned[:2])
         assert not np.array_equal(base[2:], poisoned[2:])
 
     def test_true_length_changes_valid_outputs(self):
         p = tiny_params()
-        short = encode(seq([2, 5, 3], true_length=2), p).data
-        full = encode(seq([2, 5, 3], true_length=3), p).data
+        short = encode_one(seq([2, 5, 3], true_length=2), p).data
+        full = encode_one(seq([2, 5, 3], true_length=3), p).data
         assert not np.array_equal(short[:2], full[:2])
 
 
@@ -107,7 +112,7 @@ class TestSharedSpace:
         cat_seq = assemble_category_text(cats[0], l_max=5)
         query_seq = tokenize("ab", v, 5)
         assert np.array_equal(query_seq.ids, cat_seq.ids)
-        assert np.array_equal(encode(query_seq, p).data, encode(cat_seq, p).data)
+        assert np.array_equal(encode_one(query_seq, p).data, encode_one(cat_seq, p).data)
 
     def test_encode_categories_matches_per_category_encode(self):
         v = Vocab(list("abcd"))
@@ -116,10 +121,10 @@ class TestSharedSpace:
             [make_category_record(v, 0, "ab", ["c"]), make_category_record(v, 1, "d", [])]
         )
         outs = model.encode_categories(cats)
-        assert len(outs.tensors) == 2
+        assert outs.tensors.shape[0] == 2
         for rec, out, length in zip(cats, outs.tensors, outs.lengths):
             text = assemble_category_text(rec, l_max=5)
-            assert np.array_equal(out.data, encode(text, model.encoder).data)
+            assert np.array_equal(out.data, encode_one(text, model.encoder).data)
             assert length == text.true_length
 
     def test_identical_category_texts_identical_encodings(self):
@@ -146,7 +151,7 @@ class TestGradients:
         p = tiny_params()
         s = seq([2, 5, 3, 0], true_length=3)
         with ad.Tape() as tape:
-            out = encode(s, p)
+            out = encode_one(s, p)
             loss = ad.reduce_sum(out * out)
         ad.backward(loss, tape)
         used = {2, 5, 3, 0}
@@ -165,14 +170,33 @@ class TestGradients:
         probe = rng.normal(size=(4, p.config.d))
 
         def loss_value():
-            out = encode(s, p)
+            out = encode_one(s, p)
             return float(np.sum(out.data * probe))
 
         with ad.Tape() as tape:
-            out = encode(s, p)
+            out = encode_one(s, p)
             loss = ad.reduce_sum(out * ad.Tensor(probe))
         ad.backward(loss, tape)
         for name, tensor in p.parameters():
             numeric = central_difference_grad(loss_value, tensor.data)
             err = max_rel_err(tensor.grad, numeric)
             assert err < 1e-6, f"{name}: rel err {err}"
+
+
+class TestBatch:
+    def test_rows_match_single_sequence_encodes(self):
+        p = tiny_params(num_layers=2)
+        seqs = [
+            seq([2, 5, 3, 0], true_length=3),
+            seq([7, 0, 0, 0], true_length=1),
+            seq([4, 4, 6, 2]),
+        ]
+        out = encode(np.stack([s.ids for s in seqs]), [s.true_length for s in seqs], p).data
+        assert out.shape == (3, 4, p.config.d)
+        for row, s in zip(out, seqs):
+            assert np.abs(row - encode_one(s, p).data).max() <= 1e-12
+
+    def test_ids_must_be_a_batch(self):
+        p = tiny_params()
+        with pytest.raises(ConfigError, match="batch"):
+            encode(np.array([2, 5]), [2], p)

@@ -7,6 +7,7 @@ import pytest
 
 from intentmatch.errors import ConfigError
 from intentmatch.evaluation import (
+    EVAL_CHUNK,
     compute_metrics,
     decide,
     evaluate,
@@ -198,6 +199,18 @@ class TestEvaluate:
         assert a == b
         assert a.example_count == len(data.test)
         assert len(a.per_category) == 3
+
+
+    def test_chunked_batches_match_per_query_decisions(self):
+        """Two full chunks plus a partial one give the per-query report."""
+        data, config = tiny_world()
+        model = Model(config, np.random.default_rng(1))
+        model.fusion.w_x.data[:] = np.random.default_rng(2).normal(size=(3, 3))
+        queries = (list(data.test) * 3)[: 2 * EVAL_CHUNK + 5]
+        enc = model.encode_categories(data.categories)
+        preds = [decide(model.forward(ex.query, enc)) for ex in queries]
+        want = compute_metrics(preds, [ex.labels for ex in queries])
+        assert evaluate(model, queries, data.categories) == want
 
 
 class TestAblationSuite:

@@ -15,6 +15,7 @@ from intentmatch.model import (
     ModelConfig,
     SelfMatchParams,
     SemanticMatchParams,
+    VARIANTS,
     char_interaction,
     char_match,
     conv_stack_dims,
@@ -235,7 +236,7 @@ class TestSemanticMatch:
         w = rng.normal(size=4)
         c = ad.Tensor(np.tile(w, (6, 1)))
         q_mat = ad.Tensor(rng.normal(size=(3, 4)))
-        z2 = semantic_match(q_mat, [c], p, 3, [6])
+        z2 = semantic_match(q_mat, ad.Tensor(c.data[None]), p, 3, [6])
         want = semantic_match_oracle(q_mat.data, [c.data], [6], p.w_qs.data, 3)
         assert np.allclose(z2.data, want, atol=1e-12)
 
@@ -243,8 +244,8 @@ class TestSemanticMatch:
         rng = np.random.default_rng(14)
         p = SemanticMatchParams(4, rng)
         q_mat = ad.Tensor(rng.normal(size=(1, 4)))
-        c_list = [ad.Tensor(rng.normal(size=(5, 4))) for _ in range(3)]
-        z2 = semantic_match(q_mat, c_list, p, 1, [5, 5, 5])
+        cat_enc = ad.Tensor(rng.normal(size=(3, 5, 4)))
+        z2 = semantic_match(q_mat, cat_enc, p, 1, [5, 5, 5])
         for row in z2.data:
             assert np.allclose(row, q_mat.data[0], atol=1e-12)
 
@@ -254,9 +255,9 @@ class TestSemanticMatch:
         q_data = rng.normal(size=(5, 4))
         poked = q_data.copy()
         poked[3:] = 99.0
-        c_list = [ad.Tensor(rng.normal(size=(4, 4)))]
-        a = semantic_match(ad.Tensor(q_data), c_list, p, 3, [4]).data
-        b = semantic_match(ad.Tensor(poked), c_list, p, 3, [4]).data
+        cat_enc = ad.Tensor(rng.normal(size=(1, 4, 4)))
+        a = semantic_match(ad.Tensor(q_data), cat_enc, p, 3, [4]).data
+        b = semantic_match(ad.Tensor(poked), cat_enc, p, 3, [4]).data
         assert np.array_equal(a, b)
 
     def test_rows_inside_query_envelope(self):
@@ -267,8 +268,8 @@ class TestSemanticMatch:
             tl = int(rng.integers(1, lq + 1))
             p = SemanticMatchParams(3, rng)
             q_mat = ad.Tensor(rng.normal(size=(lq, 3)))
-            c_list = [ad.Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
-            z2 = semantic_match(q_mat, c_list, p, tl, [4, 4]).data
+            cat_enc = ad.Tensor(rng.normal(size=(2, 4, 3)))
+            z2 = semantic_match(q_mat, cat_enc, p, tl, [4, 4]).data
             lo = q_mat.data[:tl].min(axis=0) - 1e-12
             hi = q_mat.data[:tl].max(axis=0) + 1e-12
             assert np.all(z2 >= lo) and np.all(z2 <= hi)
@@ -284,9 +285,7 @@ class TestSemanticMatch:
             q_mat = rng.normal(size=(lq, d))
             lens = [int(rng.integers(1, 5)) for _ in range(n)]
             c_list = [rng.normal(size=(4, d)) for _ in range(n)]
-            got = semantic_match(
-                ad.Tensor(q_mat), [ad.Tensor(c) for c in c_list], p, tl, lens
-            ).data
+            got = semantic_match(ad.Tensor(q_mat), ad.Tensor(np.stack(c_list)), p, tl, lens).data
             want = semantic_match_oracle(q_mat, c_list, lens, p.w_qs.data, tl)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -507,3 +506,45 @@ class TestAblations:
         assert model.fusion.w_z.shape == (2 * model.config.d, 1)
         narrow = build_tiny_model("no_char")
         assert narrow.fusion.w_z.shape == (model.config.d, 1)
+
+
+# true lengths 1, l_q (truncated), 2, 1 and l_q
+MIXED_QUERIES = ("a", "abcdefgh", "ad", "h", "bcdefg")
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("batch_size", [1, len(MIXED_QUERIES)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batched_logits_equal_per_query_forward(self, variant, batch_size):
+        v = Vocab(list("abcdefgh"))
+        model = build_tiny_model(variant=variant, seed=10)
+        model.fusion.w_x.data[:] = np.random.default_rng(7).normal(size=(3, 3))
+        enc = model.encode_categories(tiny_cats(v))
+        queries = [tokenize(t, v, 6) for t in MIXED_QUERIES[:batch_size]]
+        got = model.forward(queries, enc).data
+        assert got.shape == (batch_size, 3)
+        assert np.any(got != 0)
+        for row, query in zip(got, queries):
+            want = model.forward(query, enc).data
+            assert np.abs(row - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_finite_difference_batched_loss(self):
+        """Gradcheck every parameter through one B=3 batched forward."""
+        v = Vocab(list("abcdefgh"))
+        model = build_tiny_model(seed=8)
+        rng = np.random.default_rng(9)
+        model.fusion.w_x.data[:] = rng.normal(size=(3, 3))  # unblock the gate
+        cats = tiny_cats(v)
+        queries = [tokenize(t, v, 6) for t in ("a", "adbe", "hgfedc")]
+        y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+
+        def batch_loss():
+            return multilabel_loss(model.forward(queries, model.encode_categories(cats)), y)
+
+        with ad.Tape() as tape:
+            loss = batch_loss()
+        ad.backward(loss, tape)
+        for name, tensor in model.parameters():
+            numeric = central_difference_grad(lambda: batch_loss().data.item(), tensor.data)
+            err = max_rel_err(tensor.grad, numeric)
+            assert err < 1e-6, f"{name}: rel err {err}"

@@ -12,7 +12,8 @@ from intentmatch.errors import (
     CorruptCheckpointError,
     VersionMismatchError,
 )
-from intentmatch.model import Model, ModelConfig
+from intentmatch import training
+from intentmatch.model import VARIANTS, Model, ModelConfig, multilabel_loss
 from intentmatch.synthetic import SyntheticConfig, generate_synthetic
 from intentmatch.textdata import Vocab
 from intentmatch.training import (
@@ -20,6 +21,7 @@ from intentmatch.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    batch_gradients,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -119,10 +121,12 @@ class TestTrainLoop:
         assert all(np.isfinite(runs[0]))
 
     def test_zero_lr_freezes_parameters(self):
+        """TrainConfig rejects lr=0, so the zero step runs on AdamState directly."""
         model, data = tiny_setup()
         before = {n: t.data.copy() for n, t in model.parameters()}
-        cfg = TrainConfig(epochs=1, batch_size=8, lr=0.0, seed=5)
-        train(model, data.train, data.categories, cfg)
+        named = model.parameters()
+        batch_gradients(model, data.train[:8], data.categories)
+        adam_step(named, AdamState.for_params(named, lr=0.0))
         for n, t in model.parameters():
             assert np.array_equal(t.data, before[n]), n
 
@@ -156,7 +160,14 @@ class TestTrainLoop:
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
-        "overrides, field", [({"batch_size": 0}, "batch_size"), ({"epochs": -1}, "epochs")]
+        "overrides, field",
+        [
+            ({"batch_size": 0}, "batch_size"),
+            ({"epochs": -1}, "epochs"),
+            ({"lr": float("nan")}, "lr"),
+            ({"lr": float("inf")}, "lr"),
+            ({"lr": 0.0}, "lr"),
+        ],
     )
     def test_out_of_range_value_is_config_error(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
@@ -167,6 +178,43 @@ class TestTrainConfig:
         history, state = train(model, data.train, data.categories, TrainConfig(epochs=0))
         assert history == []
         assert state.step == 0
+
+
+class TestBatchedGradients:
+    def per_example_gradients(self, model, batch, cats):
+        """Mean loss and gradients from one tape per example, summed."""
+        grads = {n: np.zeros_like(t.data) for n, t in model.parameters()}
+        loss_sum = 0.0
+        for ex in batch:
+            with ad.Tape() as tape:
+                logits = model.forward(ex.query, model.encode_categories(cats))
+                loss = multilabel_loss(logits, ex.labels) * (1.0 / len(batch))
+            ad.backward(loss, tape)
+            loss_sum += loss.item()
+            for n, t in model.parameters():
+                grads[n] += t.grad
+                t.zero_grad()
+        return loss_sum, grads
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_equals_sum_of_per_example_gradients(self, variant):
+        model, data = tiny_setup(seed=4, variant=variant)
+        model.fusion.w_x.data[:] = np.random.default_rng(3).normal(size=(3, 3))
+        batch = data.train[:6]
+        want_loss, want = self.per_example_gradients(model, batch, data.categories)
+        got_loss = batch_gradients(model, batch, data.categories)
+        assert abs(got_loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        for n, t in model.parameters():
+            assert np.any(want[n] != 0), n
+            assert np.abs(t.grad - want[n]).max() <= 1e-12 * max(1.0, np.abs(want[n]).max()), n
+
+    def test_tape_length_does_not_grow_with_batch(self, monkeypatch):
+        model, data = tiny_setup()
+        lengths = []
+        monkeypatch.setattr(training.ad, "backward", lambda loss, tape: lengths.append(len(tape)))
+        for size in (1, 8):
+            batch_gradients(model, data.train[:size], data.categories)
+        assert lengths[0] == lengths[1]
 
 
 def rewrite_header(path, mutate):
@@ -190,6 +238,7 @@ MALFORMED_HEADERS = {
         lambda h: {**h, "optimizer": without(h["optimizer"], "lr")}, "'lr'"
     ),
     "extra is a list": (lambda h: {**h, "extra": [1]}, '"extra"'),
+    "run_config is a list": (lambda h: {**h, "extra": {"run_config": [1]}}, "run_config"),
 }
 
 
