@@ -1,6 +1,8 @@
 """Dense float64 tensor engine with reverse-mode differentiation.
 
-A :class:`Tensor` wraps a row-major numpy float64 array.  While a
+A :class:`Tensor` wraps a numpy float64 array: row-major, except that
+``conv2d`` and ``maxpool2d`` return [N,C,H,W] views of batch-innermost
+[C,H,W,N] buffers (see ``conv2d``).  While a
 :class:`Tape` is active (``with Tape() as tape:``), every operation whose
 inputs participate in the gradient graph appends one node; ``backward``
 replays the tape in reverse and accumulates ``dLoss/dX`` into ``.grad``
@@ -8,11 +10,17 @@ buffers.
 
 Gradient accumulation rules:
 
-* leaf tensors (parameters, constants promoted to ``requires_grad``) keep
-  accumulating across ``backward`` calls until ``zero_grad``;
-* intermediate results get a fresh zero gradient at the start of every
-  ``backward`` call, so calling ``backward`` twice on the same tape doubles
-  the leaf gradients and nothing else.
+* leaf tensors (parameters, constants promoted to ``requires_grad``) own a
+  zero ``.grad`` from creation and keep accumulating across ``backward``
+  calls until ``zero_grad`` (or an optimizer step) zeroes it;
+* intermediate results get no buffer while the tape is recorded.  During
+  ``backward`` an intermediate's ``.grad`` is allocated on the first
+  accumulation into it and released (set back to ``None``) as soon as its
+  node has been replayed; a node whose output received no gradient is
+  skipped.  Every ``backward`` call therefore starts the intermediates from
+  nothing, so calling it twice on the same tape doubles the leaf gradients
+  and nothing else, and after it returns every intermediate's ``.grad`` is
+  ``None``.
 
 Forward results are deterministic: identical inputs produce bit-identical
 outputs (single-threaded numpy, no stochastic ops).
@@ -23,7 +31,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DimensionError(ValueError):
@@ -148,29 +155,57 @@ def _record(out, inputs, backward_fn):
         return out
     out.requires_grad = True
     out._leaf = False
-    out.grad = np.zeros_like(out.data)
     tape.nodes.append(_Node(out, backward_fn))
     return out
+
+
+def _accumulate(t, g, index=None, copy=False):
+    """Add `g` into `t.grad`, or into `t.grad[index]` with repeats adding up.
+
+    A leaf's buffer exists from its creation.  An intermediate's is
+    allocated here, on the first accumulation into it: zeros before an
+    indexed add, otherwise `g` itself becomes the buffer.  That needs `g` to
+    be an array no other tensor holds: a fresh result, or a view of the
+    gradient being replayed, which `backward` has already released.  Pass
+    `copy=True` when the same `g` also goes to another input; a read-only
+    `g` (a broadcast view) is always copied.
+    """
+    if index is not None:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        np.add.at(t.grad, index, g)
+    elif t.grad is not None:
+        t.grad += g
+    elif copy or not g.flags.writeable:
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad = g
 
 
 def backward(loss, tape):
     """Populate dLoss/dLeaf for every grad-requiring leaf under `tape`.
 
-    `loss` must hold exactly one element.  Intermediate gradients are reset
-    here; leaf gradients accumulate across calls (callers zero them via the
+    `loss` must hold exactly one element.  Nodes are replayed in reverse;
+    each intermediate's buffer is released right after its node is
+    replayed, and a node whose output received no gradient is skipped.
+    Leaf gradients accumulate across calls (callers zero them via the
     optimizer or `zero_grad`).
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    for node in tape.nodes:
-        node.output.grad[...] = 0.0
     if loss._leaf:
         if loss.requires_grad:
             loss.grad += 1.0
         return
-    loss.grad[...] = 1.0
+    for node in tape.nodes:  # drop what an interrupted replay left behind
+        node.output.grad = None
+    loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        node.backward_fn(node.output.grad)
+        out = node.output
+        g = out.grad
+        if g is not None:
+            out.grad = None
+            node.backward_fn(g)
 
 
 def _unbroadcast(g, shape):
@@ -196,9 +231,9 @@ def add(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+            _accumulate(b, _unbroadcast(g, b.data.shape), copy=a.requires_grad)
 
     return _record(out, (a, b), bw)
 
@@ -209,9 +244,9 @@ def sub(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.data.shape)
+            _accumulate(b, -_unbroadcast(g, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -222,9 +257,9 @@ def mul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -235,9 +270,9 @@ def div(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g / b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(g * out.data / b.data, b.data.shape)
+            _accumulate(b, -_unbroadcast(g * out.data / b.data, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -247,7 +282,7 @@ def neg(a):
 
     def bw(g):
         if a.requires_grad:
-            a.grad -= g
+            _accumulate(a, -g)
 
     return _record(out, (a,), bw)
 
@@ -260,12 +295,12 @@ def matmul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad and b.ndim == 2:
             # a's leading axes fold into rows: one product, no batch sum
-            b.grad += a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
         elif b.requires_grad:
-            b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -283,7 +318,7 @@ def transpose(a, axes=None):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += np.transpose(g, inv)
+            _accumulate(a, np.transpose(g, inv))
 
     return _record(out, (a,), bw)
 
@@ -293,7 +328,7 @@ def reshape(a, shape):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g.reshape(a.data.shape)
+            _accumulate(a, g.reshape(a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -303,7 +338,7 @@ def getitem(a, idx):
 
     def bw(g):
         if a.requires_grad:
-            a.grad[idx] += g
+            _accumulate(a, g, idx)
 
     return _record(out, (a,), bw)
 
@@ -319,7 +354,7 @@ def concat(tensors, axis=0):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                t.grad += g[tuple(sl)]
+                _accumulate(t, g[tuple(sl)])
 
     return _record(out, tuple(tensors), bw)
 
@@ -331,7 +366,7 @@ def embedding(table, ids):
 
     def bw(g):
         if table.requires_grad:
-            np.add.at(table.grad, ids, g)
+            _accumulate(table, g, ids)
 
     return _record(out, (table,), bw)
 
@@ -345,7 +380,7 @@ def tanh(a):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * (1.0 - out.data * out.data)
+            _accumulate(a, g * (1.0 - out.data * out.data))
 
     return _record(out, (a,), bw)
 
@@ -356,7 +391,7 @@ def relu(a):
     def bw(g):
         if a.requires_grad:
             # derivative at exactly 0 defined as 0
-            a.grad += g * (a.data > 0.0)
+            _accumulate(a, g * (a.data > 0.0))
 
     return _record(out, (a,), bw)
 
@@ -378,7 +413,7 @@ def softplus(a):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * stable_sigmoid(x)
+            _accumulate(a, g * stable_sigmoid(x))
 
     return _record(out, (a,), bw)
 
@@ -388,7 +423,7 @@ def sqrt(a):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * 0.5 / out.data
+            _accumulate(a, g * 0.5 / out.data)
 
     return _record(out, (a,), bw)
 
@@ -415,7 +450,7 @@ def softmax(a, axis, mask=None):
     def bw(g):
         if a.requires_grad:
             y = out.data
-            a.grad += y * (g - (g * y).sum(axis=axis, keepdims=True))
+            _accumulate(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     return _record(out, (a,), bw)
 
@@ -431,10 +466,10 @@ def reduce_sum(a, axis=None, keepdims=False):
         if not a.requires_grad:
             return
         if axis is None:
-            a.grad += g  # scalar broadcast
+            _accumulate(a, np.broadcast_to(g, a.data.shape))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(gg, a.data.shape)
+            _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -447,10 +482,10 @@ def reduce_mean(a, axis=None, keepdims=False):
         if not a.requires_grad:
             return
         if axis is None:
-            a.grad += g / n
+            _accumulate(a, np.broadcast_to(g / n, a.data.shape))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(gg, a.data.shape) / n
+            _accumulate(a, np.broadcast_to(gg, a.data.shape) / n)
 
     return _record(out, (a,), bw)
 
@@ -468,15 +503,19 @@ def _spatial_4d(x):
     raise DimensionError(f"expected 3D [C,H,W] or 4D [N,C,H,W] input, got {x.shape}")
 
 
+def _batch_innermost(a):
+    """[C,H,W,N] contiguous copy of an [N,C,H,W] array; free when it already is."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
+def _from_batch_innermost(buf, was_3d):
+    """The logical [N,C,H,W] (or [C,H,W]) view of a [C,H,W,N] buffer."""
+    return buf[..., 0] if was_3d else buf.transpose(3, 0, 1, 2)
+
+
 # Upper bound, in elements, on the column matrix one conv2d product
 # gathers; larger batches are processed in slices along N.
 _COLUMN_ELEMS = 1 << 20
-
-
-def _columns(windows):
-    """[C*kh*kw, N*ho*wo] column matrix of conv windows [N, C, ho, wo, kh, kw]."""
-    n, c, ho, wo, kh, kw = windows.shape
-    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
 
 
 def conv2d(x, kernels, bias, stride=(1, 1)):
@@ -485,8 +524,13 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
     x: [C_in,H,W] or [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw]; bias: [C_out].
     out[n,o,i,j] = bias[o] + sum_{c,a,b} kernels[o,c,a,b] * x[n,c,i*sh+a,j*sw+b]
 
-    Each product is one matmul against the window columns, built for a
-    slice of N at a time and rebuilt in backward rather than kept.
+    The shapes are logical: the work runs on a batch-innermost [C,H,W,N]
+    memory layout, so every slice copy and strided add covers contiguous
+    runs of N.  The input is brought to that layout once (free when it
+    already has it) and the output is the [N,C_out,ho,wo] view of a
+    [C_out,ho,wo,N] buffer.  Each product is one matmul against window
+    columns [C_in*kh*kw, ho*wo*n] built for a slice of n maps at a time and
+    rebuilt in backward rather than kept.
     """
     xd, was_3d = _spatial_4d(x)
     kd = kernels.data
@@ -501,40 +545,50 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
             f"conv2d kernel {kh}x{kw} exceeds input {h}x{w}; pad the input or shrink the kernel"
         )
     sh, sw = stride
-    windows = sliding_window_view(xd, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    ho, wo = windows.shape[2], windows.shape[3]
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
+    xt = _batch_innermost(xd)  # [cin, h, w, n]
     step = max(1, _COLUMN_ELEMS // (cin * kh * kw * ho * wo))
     slices = [slice(s, s + step) for s in range(0, n, step)]
     k_rows = kd.reshape(cout, cin * kh * kw)
-    out_data = np.empty((n, cout, ho, wo))
+
+    def window(a, b):
+        """[cin, ho, wo] slices picking the inputs at kernel offset (a, b)."""
+        return (slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
+
+    def columns(sl):
+        """[cin*kh*kw, ho*wo*n] window columns of the maps in slice sl."""
+        xs = xt[..., sl]
+        cols = np.empty((cin, kh, kw, ho, wo, xs.shape[-1]))
+        for a in range(kh):
+            for b in range(kw):
+                cols[:, a, b] = xs[window(a, b)]
+        return cols.reshape(cin * kh * kw, -1)
+
+    out_t = np.empty((cout, ho, wo, n))
     for sl in slices:
-        prod = np.tensordot(k_rows, _columns(windows[sl]), axes=1)
-        out_data[sl] = np.moveaxis(prod.reshape(cout, -1, ho, wo), 0, 1)
+        out_t[..., sl] = (k_rows @ columns(sl)).reshape(cout, ho, wo, -1)
     if bias is not None:
-        out_data += bias.data[:, None, None]
-    out = Tensor(out_data[0] if was_3d else out_data)
+        out_t += bias.data[:, None, None, None]
+    out = Tensor(_from_batch_innermost(out_t, was_3d))
 
     def bw(g):
-        g4 = g[None] if was_3d else g
+        gt = _batch_innermost(g[None] if was_3d else g)  # [cout, ho, wo, n]
         if bias is not None and bias.requires_grad:
-            bias.grad += g4.sum(axis=(0, 2, 3))
-        gx = np.zeros_like(xd) if x.requires_grad else None
+            _accumulate(bias, gt.sum(axis=(1, 2, 3)))
+        gxt = np.zeros_like(xt) if x.requires_grad else None
         for sl in slices:
-            g_rows = np.moveaxis(g4[sl], 1, 0).reshape(cout, -1)  # [cout, n*ho*wo]
+            g_rows = gt[..., sl].reshape(cout, -1)  # [cout, ho*wo*n]
             if kernels.requires_grad:
-                cols = _columns(windows[sl])
-                kernels.grad += np.tensordot(g_rows, cols, axes=([1], [1])).reshape(kd.shape)
-            if gx is not None:
-                # g_cols[c,a,b,n,i,j] = sum_o k[o,c,a,b] * g[n,o,i,j]
-                g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, -1, ho, wo)
-                gx_sl = gx[sl]
+                _accumulate(kernels, (g_rows @ columns(sl).T).reshape(kd.shape))
+            if gxt is not None:
+                # g_cols[c,a,b,i,j,m] = sum_o k[o,c,a,b] * g[o,i,j,m]
+                g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, ho, wo, -1)
+                gx_sl = gxt[..., sl]
                 for a in range(kh):
                     for b in range(kw):
-                        gx_sl[:, :, a : a + ho * sh : sh, b : b + wo * sw : sw] += np.moveaxis(
-                            g_cols[:, a, b], 0, 1
-                        )
-        if gx is not None:
-            x.grad += gx[0] if was_3d else gx
+                        gx_sl[window(a, b)] += g_cols[:, a, b]
+        if gxt is not None:
+            _accumulate(x, _from_batch_innermost(gxt, was_3d))
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     return _record(out, inputs, bw)
@@ -543,8 +597,14 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
 def maxpool2d(x, window, stride):
     """Per-window max over the last two axes; partial trailing windows dropped.
 
+    Like `conv2d`, it works on a batch-innermost [C,H,W,N] copy of its
+    input (free when the input already has that layout) and returns the
+    logical [N,C,ho,wo] view of a [C,ho,wo,N] buffer, so the ReLU and the
+    next conv that follow stay batch-innermost.
+
     Backward routes the incoming gradient to the first row-major maximum of
-    each window, so total gradient mass is conserved exactly.
+    each window, so total gradient mass is conserved exactly.  A window
+    holding a NaN yields NaN and routes no gradient.
     """
     xd, was_3d = _spatial_4d(x)
     ph, pw = window
@@ -553,33 +613,34 @@ def maxpool2d(x, window, stride):
     if ph > h or pw > w:
         raise DimensionError(f"maxpool2d window {ph}x{pw} exceeds input {h}x{w}")
     ho, wo = (h - ph) // sh + 1, (w - pw) // sw + 1
+    xt = _batch_innermost(xd)  # [c, h, w, n]
 
     def offset(k):
         """Slices picking, for every window, its element at row-major offset k."""
         a, b = divmod(k, pw)
-        return (slice(None), slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
+        return (slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
 
-    out_data = xd[offset(0)].copy()
+    out_t = xt[offset(0)].copy(order="K")
     for k in range(1, ph * pw):
-        np.maximum(out_data, xd[offset(k)], out=out_data)
-    out = Tensor(out_data[0] if was_3d else out_data)
+        np.maximum(out_t, xt[offset(k)], out=out_t)
+    out = Tensor(_from_batch_innermost(out_t, was_3d))
 
     def bw(g):
         if not x.requires_grad:
             return
-        g4 = g[None] if was_3d else g
+        gt = _batch_innermost(g[None] if was_3d else g)
         # hits[k]: windows whose first row-major maximum sits at offset k
-        taken = np.zeros(out_data.shape, dtype=bool)
+        taken = np.zeros(out_t.shape, dtype=bool)
         hits = []
         for k in range(ph * pw):
-            hit = (xd[offset(k)] == out_data) > taken
+            hit = (xt[offset(k)] == out_t) > taken
             taken |= hit
             hits.append(hit)
-        gx = np.zeros_like(xd)
+        gxt = np.zeros_like(xt)
         # descending offsets add each input position's contributions in
         # row-major window order
         for k in reversed(range(ph * pw)):
-            gx[offset(k)] += g4 * hits[k]
-        x.grad += gx[0] if was_3d else gx
+            gxt[offset(k)] += gt * hits[k]
+        _accumulate(x, _from_batch_innermost(gxt, was_3d))
 
     return _record(out, (x,), bw)

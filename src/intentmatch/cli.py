@@ -5,6 +5,11 @@ resolved configuration is echoed into each output artifact: the checkpoint
 stores it in its header, report files carry it as header lines or records,
 and `gen` writes a sidecar run.json (the dataset files themselves have a
 fixed line format with no room for headers).
+
+Exit codes: 0 success; 2 a missing file or an invalid flag, config, dataset,
+vocab or category file; 3 an unreadable or mismatched checkpoint; 4 training
+diverged (a NaN or infinite loss or parameter), in which case `train`
+writes neither the checkpoint nor the loss log.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import (
     ConfigError,
     CorruptCheckpointError,
     DataFormatError,
+    NonFiniteError,
     VocabError,
 )
 from .evaluation import (
@@ -44,7 +50,7 @@ from .textdata import (
     save_vocab,
     tokenize,
 )
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import TrainConfig, atomic_output, load_checkpoint, save_checkpoint, train
 
 
 def _pair(text):
@@ -183,7 +189,8 @@ def cmd_train(args):
         print(line)
 
     history, state = train(model, data, cats, tc, log_fn=log_fn)
-    Path(args.loss_log).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    with atomic_output(args.loss_log) as f:
+        f.write("".join(l + "\n" for l in lines).encode("utf-8"))
     run_config = {k: v for k, v in dataclasses.asdict(config).items() if k not in _DATA_FIELDS}
     run_config.update(dataclasses.asdict(tc))
     save_checkpoint(args.checkpoint_out, model, vocab, cats, state,
@@ -282,6 +289,9 @@ def main(argv=None):
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

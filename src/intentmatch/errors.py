@@ -13,6 +13,10 @@ class DataFormatError(ValueError):
     """A dataset, category or vocab file does not match its format."""
 
 
+class NonFiniteError(ArithmeticError):
+    """Training produced a NaN or infinite loss or parameter."""
+
+
 class CheckpointError(Exception):
     """Base class for checkpoint load failures."""
 

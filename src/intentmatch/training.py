@@ -13,8 +13,10 @@ keys, no whitespace) makes save -> load -> save byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -25,6 +27,7 @@ from .errors import (
     ConfigError,
     ConfigMismatchError,
     CorruptCheckpointError,
+    NonFiniteError,
     VersionMismatchError,
 )
 from .model import Model, ModelConfig, multilabel_loss
@@ -108,11 +111,25 @@ def batch_gradients(model, batch, cats):
     return float(total.data) * inv_batch
 
 
+def _check_finite(named_params, loss, epoch, batch):
+    """Raise NonFiniteError when the batch loss or any parameter is NaN or infinite."""
+    bad = next((name for name, t in named_params if not np.isfinite(t.data).all()), None)
+    if bad is not None or not math.isfinite(loss):
+        raise NonFiniteError(
+            f"training diverged at epoch {epoch}, batch {batch}: loss {loss:g}, "
+            f"first non-finite parameter: {bad or 'none'}"
+        )
+
+
 def train(model, data, cats, config, log_fn=None):
     """Seeded shuffled mini-batch loop; returns (loss history, AdamState).
 
     The model's parameters are updated in place.  log_fn, when given, is
-    called with (epoch_index, mean_loss) after every epoch.
+    called with (epoch_index, mean_loss) after every epoch.  After every
+    Adam step the batch loss and the parameters are checked: a NaN or
+    infinity raises NonFiniteError naming the epoch and batch (both counted
+    from 1) and the first bad parameter, so nothing non-finite reaches a
+    checkpoint.
     """
     if not data:
         raise ConfigError("training data is empty")
@@ -130,10 +147,11 @@ def train(model, data, cats, config, log_fn=None):
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = [data[i] for i in order[start : start + config.batch_size]]
             mean_loss = batch_gradients(model, batch, cats)
             adam_step(named, state)
+            _check_finite(named, mean_loss, epoch + 1, batch_no)
             loss_sum += mean_loss * len(batch)
         history.append(loss_sum / n)
         if log_fn is not None:
@@ -150,6 +168,26 @@ class LoadedCheckpoint:
     model: Model
     adam_state: AdamState | None
     extra: dict
+
+
+@contextlib.contextmanager
+def atomic_output(path):
+    """Binary file object whose bytes replace `path` only when the block completes.
+
+    The bytes go to a temp file in the target's directory, which `os.replace`
+    renames over `path` on success and which is deleted on any failure, so
+    `path` holds either its old content or the complete new one.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _write_tensor(f, arr):
@@ -178,7 +216,7 @@ def save_checkpoint(path, model, vocab, cats, adam_state=None, extra=None):
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_output(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(blob)))

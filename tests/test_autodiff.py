@@ -288,6 +288,104 @@ class TestMaxpool2d:
         )
 
 
+def batch_innermost_view(a):
+    """The [N,C,H,W] view of a contiguous [C,H,W,N] copy of `a`."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+# Inputs for the batch-innermost conv/pool paths: (name, input, stride,
+# x requires grad, _COLUMN_ELEMS override or None).
+_LAYOUT_CASES = [
+    (
+        "batch_innermost",
+        lambda rng: batch_innermost_view(rng.normal(size=(3, 2, 6, 7))), (1, 1), True, None,
+    ),
+    ("stride_2_3", lambda rng: rng.normal(size=(2, 2, 7, 8)), (2, 3), True, None),
+    ("3d", lambda rng: rng.normal(size=(2, 6, 7)), (1, 1), True, None),
+    ("no_grad_input", lambda rng: rng.normal(size=(3, 2, 6, 7)), (1, 1), False, None),
+    # columns of two maps (2 channels x 3x2 kernel x 4x6 outputs) per slice: 3 slices
+    ("several_n_slices", lambda rng: rng.normal(size=(5, 2, 6, 7)), (1, 1), True, 2 * (2 * 6 * 24)),
+]
+
+
+class TestBatchInnermostConvPool:
+    """The batch-innermost conv2d/maxpool2d against the loop oracles, at C2's
+    tolerances (1e-10 for conv2d, exact for maxpool2d)."""
+
+    @pytest.mark.parametrize(
+        "make_x, stride, x_grad, column_elems",
+        [case[1:] for case in _LAYOUT_CASES],
+        ids=[case[0] for case in _LAYOUT_CASES],
+    )
+    def test_conv2d_matches_loop_oracle(self, monkeypatch, make_x, stride, x_grad, column_elems):
+        if column_elems is not None:
+            monkeypatch.setattr(ad, "_COLUMN_ELEMS", column_elems)
+        rng = np.random.default_rng(21)
+        x = ad.Tensor(make_x(rng), requires_grad=x_grad)
+        k = ad.Tensor(rng.normal(size=(3, 2, 3, 2)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=3), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.conv2d(x, k, b, stride=stride)
+            w = ad.Tensor(rng.normal(size=out.shape))
+            loss = ad.reduce_sum(ad.mul(out, w))
+        want = conv2d_loop(x.data, k.data, b.data, stride)
+        np.testing.assert_allclose(out.data, want, atol=1e-10)
+        ad.backward(loss, tape)
+        gx, gk, gb = conv2d_loop_backward(x.data, k.data, w.data, stride)
+        if x_grad:
+            np.testing.assert_allclose(x.grad, gx, atol=1e-10)
+        else:
+            assert x.grad is None
+        np.testing.assert_allclose(k.grad, gk, atol=1e-10)
+        np.testing.assert_allclose(b.grad, gb, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "make_x, stride, x_grad",
+        [case[1:4] for case in _LAYOUT_CASES if case[4] is None],
+        ids=[case[0] for case in _LAYOUT_CASES if case[4] is None],
+    )
+    def test_maxpool2d_matches_loop_oracle(self, make_x, stride, x_grad):
+        rng = np.random.default_rng(22)
+        x = ad.Tensor(make_x(rng), requires_grad=x_grad)
+        with ad.Tape() as tape:
+            # times one, so a taped input reaches the pool as an intermediate
+            out = ad.maxpool2d(ad.mul(x, ad.Tensor(np.ones(1))), (2, 3), stride)
+            w = ad.Tensor(rng.normal(size=out.shape))
+            loss = ad.reduce_sum(ad.mul(out, w))
+        np.testing.assert_allclose(out.data, maxpool2d_loop(x.data, (2, 3), stride), atol=0)
+        assert out.requires_grad == x_grad
+        if x_grad:
+            ad.backward(loss, tape)
+            np.testing.assert_allclose(
+                x.grad, maxpool2d_loop_backward(x.data, (2, 3), stride, w.data), atol=0
+            )
+
+    def test_nan_window_propagates_and_routes_no_gradient(self):
+        data = np.arange(16.0).reshape(1, 4, 4)
+        data[0, 0, 1] = np.nan
+        x = ad.Tensor(data, requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.maxpool2d(x, (2, 2), (2, 2))
+            loss = ad.reduce_sum(out)  # NaN, but backward still seeds every window with 1
+        assert np.isnan(out.data[0, 0, 0])
+        np.testing.assert_array_equal(out.data[0, 0, 1], 7.0)
+        ad.backward(loss, tape)
+        np.testing.assert_array_equal(x.grad[0, :2, :2], 0.0)
+        assert x.grad.sum() == 3.0
+
+    def test_conv_pool_relu_stay_batch_innermost(self):
+        rng = np.random.default_rng(23)
+        x = ad.Tensor(rng.normal(size=(4, 1, 8, 9)), requires_grad=True)
+        k1 = ad.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        k2 = ad.Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
+        with ad.Tape():
+            c1 = ad.conv2d(x, k1, None)
+            r1 = ad.relu(ad.maxpool2d(c1, (2, 2), (2, 2)))
+            c2 = ad.conv2d(r1, k2, None)
+        for t in (c1, r1, c2):
+            assert t.data.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
 class TestReduce:
     def test_mean_axis0(self):
         out = ad.reduce_mean(ad.Tensor([[1.0, 3.0], [5.0, 7.0]]), axis=0)
@@ -337,6 +435,53 @@ class TestBackward:
         ad.backward(loss, tape)
         ad.backward(loss, tape)
         np.testing.assert_allclose(w.grad, 4.0 * w.data)
+
+    def test_backward_twice_doubles_leaf_gradients_exactly(self):
+        rng = np.random.default_rng(24)
+        x = ad.Tensor(rng.normal(size=(2, 1, 6, 6)), requires_grad=True)
+        k = ad.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=2), requires_grad=True)
+        with ad.Tape() as tape:
+            h = ad.relu(ad.maxpool2d(ad.conv2d(x, k, b), (2, 2), (2, 2)))
+            loss = ad.reduce_sum(ad.tanh(h) * h)
+        ad.backward(loss, tape)
+        once = [t.grad.copy() for t in (x, k, b)]
+        ad.backward(loss, tape)
+        for t, g in zip((x, k, b), once):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
+
+    def test_intermediate_grad_is_none_after_backward(self):
+        w = ad.Tensor(np.arange(1.0, 5.0), requires_grad=True)
+        with ad.Tape() as tape:
+            h = ad.mul(w, w)
+            loss = ad.reduce_sum(ad.tanh(h))
+        assert all(node.output.grad is None for node in tape.nodes)
+        ad.backward(loss, tape)
+        assert h.grad is None and loss.grad is None
+        assert all(node.output.grad is None for node in tape.nodes)
+        assert np.all(w.grad != 0.0)
+
+    def test_branch_off_the_loss_leaves_leaf_gradients_zero(self):
+        w = ad.Tensor(np.ones(3), requires_grad=True)
+        unused = ad.Tensor(np.full(3, 2.0), requires_grad=True)
+        with ad.Tape() as tape:
+            side = ad.reduce_sum(ad.tanh(ad.mul(unused, w)))  # never reaches loss
+            loss = ad.reduce_sum(ad.mul(w, w))
+        ad.backward(loss, tape)
+        np.testing.assert_array_equal(unused.grad, 0.0)
+        np.testing.assert_array_equal(w.grad, 2.0)
+        assert side.grad is None
+
+    def test_add_operands_get_separate_gradient_buffers(self):
+        x = ad.Tensor(np.array([0.3, -0.7]), requires_grad=True)
+        with ad.Tape() as tape:
+            a = x * 2.0
+            b = x * 3.0
+            c = ad.tanh(a)  # a gets a second gradient after the add hands one to b
+            loss = ad.reduce_sum(a + b) + ad.reduce_sum(c)
+        ad.backward(loss, tape)
+        want = 5.0 + 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2)
+        np.testing.assert_allclose(x.grad, want, atol=1e-15)
 
     def test_shared_input_used_twice(self):
         x = ad.Tensor([2.0], requires_grad=True)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from intentmatch import cli
 from intentmatch.cli import main, make_parser
 from intentmatch.model import Model, ModelConfig
 from intentmatch.textdata import load_categories, load_dataset, load_vocab
@@ -206,6 +207,37 @@ class TestTrainFlags:
         assert "lr" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestNonFiniteTraining:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic
+    def test_inf_parameter_exits_4_without_checkpoint_or_loss_log(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data = gen(tmp_path)
+
+        def model_with_inf(config, rng):
+            model = Model(config, rng)
+            model.parameters()[0][1].data[...] = np.inf
+            return model
+
+        monkeypatch.setattr(cli, "Model", model_with_inf)
+        capsys.readouterr()
+        rc = main([
+            "train",
+            "--train-file", str(data / "train.tsv"),
+            "--categories-file", str(data / "categories.tsv"),
+            "--vocab-file", str(data / "vocab.txt"),
+            "--checkpoint-out", str(tmp_path / "m.ckpt"),
+            "--loss-log", str(tmp_path / "l.tsv"),
+            *TINY_MODEL,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "epoch 1, batch 1" in err and "encoder.tok_emb" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "l.tsv").exists()
 
 
 class TestEval:

@@ -10,6 +10,7 @@ from intentmatch.errors import (
     ConfigError,
     ConfigMismatchError,
     CorruptCheckpointError,
+    NonFiniteError,
     VersionMismatchError,
 )
 from intentmatch import training
@@ -158,6 +159,22 @@ class TestTrainLoop:
         assert seen == [(0, history[0]), (1, history[1])]
 
 
+class TestNonFiniteGuard:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic
+    def test_inf_parameter_raises_naming_epoch_batch_and_parameter(self):
+        model, data = tiny_setup()
+        name, first = model.parameters()[0]
+        first.data[0, 0] = np.inf
+        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=5)
+        with pytest.raises(NonFiniteError, match=rf"epoch 1, batch 1: .*{name}$"):
+            train(model, data.train, data.categories, cfg)
+
+    def test_finite_run_passes_the_guard(self):
+        model, data = tiny_setup()
+        history, state = train(model, data.train, data.categories, TrainConfig(epochs=1, lr=1e-3))
+        assert np.isfinite(history).all() and state.step == 1
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "overrides, field",
@@ -207,6 +224,16 @@ class TestBatchedGradients:
         for n, t in model.parameters():
             assert np.any(want[n] != 0), n
             assert np.abs(t.grad - want[n]).max() <= 1e-12 * max(1.0, np.abs(want[n]).max()), n
+
+    def test_forward_allocates_no_intermediate_gradients(self, monkeypatch):
+        model, data = tiny_setup()
+        seen = []
+        monkeypatch.setattr(
+            training.ad, "backward",
+            lambda loss, tape: seen.extend(node.output.grad for node in tape.nodes),
+        )
+        batch_gradients(model, data.train[:4], data.categories)
+        assert seen and all(g is None for g in seen)
 
     def test_tape_length_does_not_grow_with_batch(self, monkeypatch):
         model, data = tiny_setup()
@@ -360,6 +387,27 @@ class TestCheckpoint:
             load_checkpoint(path, data.vocab, data.categories)
         assert str(path) in str(info.value)
         assert field in str(info.value)
+
+    def test_failed_save_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        model, data = tiny_setup(seed=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, data.vocab, data.categories)
+        before = path.read_bytes()
+        written = []
+        real_write = training._write_tensor
+
+        def failing_write(f, arr):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(1)
+            real_write(f, arr)
+
+        monkeypatch.setattr(training, "_write_tensor", failing_write)
+        model.fusion.w_z.data += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, data.vocab, data.categories)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"MMAN"
