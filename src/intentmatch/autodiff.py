@@ -1,12 +1,12 @@
 """Dense float64 tensor engine with reverse-mode differentiation.
 
 A :class:`Tensor` wraps a numpy float64 array: row-major, except that
-``conv2d`` and ``maxpool2d`` return [N,C,H,W] views of batch-innermost
-[C,H,W,N] buffers (see ``conv2d``).  While a
-:class:`Tape` is active (``with Tape() as tape:``), every operation whose
-inputs participate in the gradient graph appends one node; ``backward``
-replays the tape in reverse and accumulates ``dLoss/dX`` into ``.grad``
-buffers.
+``conv2d`` and ``maxpool2d``, which take [N,C,H,W] inputs only, return
+[N,C,H,W] views of batch-innermost [C,H,W,N] buffers (see ``conv2d``).
+While a :class:`Tape` is active (``with Tape() as tape:``), every operation
+whose inputs participate in the gradient graph appends one node;
+``backward`` replays the tape in reverse and accumulates ``dLoss/dX`` into
+``.grad`` buffers.
 
 Gradient accumulation rules:
 
@@ -28,8 +28,6 @@ outputs (single-threaded numpy, no stochastic ops).
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 
@@ -37,11 +35,7 @@ class DimensionError(ValueError):
     """Raised when operand shapes cannot be combined."""
 
 
-_STATE = threading.local()
-
-
-def _active_tape():
-    return getattr(_STATE, "tape", None)
+_tape = None  # the innermost active Tape, or None
 
 
 class Tape:
@@ -51,12 +45,13 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        self._outer = getattr(_STATE, "tape", None)
-        _STATE.tape = self
+        global _tape
+        self._outer, _tape = _tape, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _STATE.tape = self._outer
+        global _tape
+        _tape = self._outer
         return False
 
     def __len__(self):
@@ -108,32 +103,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def as_tensor(x):
@@ -148,14 +128,11 @@ def parameter(rng, shape, fan_in):
 
 def _record(out, inputs, backward_fn):
     """Attach `out` to the active tape when any input carries gradient."""
-    tape = _active_tape()
-    if tape is None:
-        return out
-    if not any(t.requires_grad for t in inputs):
+    if _tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
     out._leaf = False
-    tape.nodes.append(_Node(out, backward_fn))
+    _tape.nodes.append(_Node(out, backward_fn))
     return out
 
 
@@ -277,16 +254,6 @@ def div(a, b):
     return _record(out, (a, b), bw)
 
 
-def neg(a):
-    out = Tensor(-a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
-
-    return _record(out, (a,), bw)
-
-
 def matmul(a, b):
     """Matrix product over the last two axes; leading axes broadcast as in numpy."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
@@ -329,16 +296,6 @@ def reshape(a, shape):
     def bw(g):
         if a.requires_grad:
             _accumulate(a, g.reshape(a.data.shape))
-
-    return _record(out, (a,), bw)
-
-
-def getitem(a, idx):
-    out = Tensor(np.array(a.data[idx]))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g, idx)
 
     return _record(out, (a,), bw)
 
@@ -463,12 +420,8 @@ def reduce_sum(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
+        if a.requires_grad:
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
             _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return _record(out, (a,), bw)
@@ -479,12 +432,8 @@ def reduce_mean(a, axis=None, keepdims=False):
     n = a.data.size if axis is None else a.data.shape[axis]
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
+        if a.requires_grad:
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
             _accumulate(a, np.broadcast_to(gg, a.data.shape) / n)
 
     return _record(out, (a,), bw)
@@ -494,13 +443,9 @@ def reduce_mean(a, axis=None, keepdims=False):
 # 2D convolution and pooling
 
 
-def _spatial_4d(x):
-    """Promote [C,H,W] to [1,C,H,W]; report whether it was 3D."""
-    if x.ndim == 3:
-        return x.data[None], True
-    if x.ndim == 4:
-        return x.data, False
-    raise DimensionError(f"expected 3D [C,H,W] or 4D [N,C,H,W] input, got {x.shape}")
+def _require_4d(op, x):
+    if x.ndim != 4:
+        raise DimensionError(f"{op} expects a 4D [N,C,H,W] input, got {x.shape}")
 
 
 def _batch_innermost(a):
@@ -508,9 +453,9 @@ def _batch_innermost(a):
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
 
 
-def _from_batch_innermost(buf, was_3d):
-    """The logical [N,C,H,W] (or [C,H,W]) view of a [C,H,W,N] buffer."""
-    return buf[..., 0] if was_3d else buf.transpose(3, 0, 1, 2)
+def _from_batch_innermost(buf):
+    """The logical [N,C,H,W] view of a [C,H,W,N] buffer."""
+    return buf.transpose(3, 0, 1, 2)
 
 
 # Upper bound, in elements, on the column matrix one conv2d product
@@ -521,7 +466,7 @@ _COLUMN_ELEMS = 1 << 20
 def conv2d(x, kernels, bias, stride=(1, 1)):
     """Valid cross-correlation (no kernel flip, no zero padding).
 
-    x: [C_in,H,W] or [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw]; bias: [C_out].
+    x: [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw]; bias: [C_out].
     out[n,o,i,j] = bias[o] + sum_{c,a,b} kernels[o,c,a,b] * x[n,c,i*sh+a,j*sw+b]
 
     The shapes are logical: the work runs on a batch-innermost [C,H,W,N]
@@ -532,8 +477,8 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
     columns [C_in*kh*kw, ho*wo*n] built for a slice of n maps at a time and
     rebuilt in backward rather than kept.
     """
-    xd, was_3d = _spatial_4d(x)
-    kd = kernels.data
+    _require_4d("conv2d", x)
+    xd, kd = x.data, kernels.data
     if kd.ndim != 4:
         raise DimensionError(f"conv2d kernels must be 4D [out,in,kh,kw], got {kernels.shape}")
     n, cin, h, w = xd.shape
@@ -569,10 +514,10 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
         out_t[..., sl] = (k_rows @ columns(sl)).reshape(cout, ho, wo, -1)
     if bias is not None:
         out_t += bias.data[:, None, None, None]
-    out = Tensor(_from_batch_innermost(out_t, was_3d))
+    out = Tensor(_from_batch_innermost(out_t))
 
     def bw(g):
-        gt = _batch_innermost(g[None] if was_3d else g)  # [cout, ho, wo, n]
+        gt = _batch_innermost(g)  # [cout, ho, wo, n]
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gt.sum(axis=(1, 2, 3)))
         gxt = np.zeros_like(xt) if x.requires_grad else None
@@ -588,7 +533,7 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
                     for b in range(kw):
                         gx_sl[window(a, b)] += g_cols[:, a, b]
         if gxt is not None:
-            _accumulate(x, _from_batch_innermost(gxt, was_3d))
+            _accumulate(x, _from_batch_innermost(gxt))
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     return _record(out, inputs, bw)
@@ -606,14 +551,14 @@ def maxpool2d(x, window, stride):
     each window, so total gradient mass is conserved exactly.  A window
     holding a NaN yields NaN and routes no gradient.
     """
-    xd, was_3d = _spatial_4d(x)
+    _require_4d("maxpool2d", x)
     ph, pw = window
     sh, sw = stride
-    h, w = xd.shape[2:]
+    h, w = x.shape[2:]
     if ph > h or pw > w:
         raise DimensionError(f"maxpool2d window {ph}x{pw} exceeds input {h}x{w}")
     ho, wo = (h - ph) // sh + 1, (w - pw) // sw + 1
-    xt = _batch_innermost(xd)  # [c, h, w, n]
+    xt = _batch_innermost(x.data)  # [c, h, w, n]
 
     def offset(k):
         """Slices picking, for every window, its element at row-major offset k."""
@@ -623,12 +568,12 @@ def maxpool2d(x, window, stride):
     out_t = xt[offset(0)].copy(order="K")
     for k in range(1, ph * pw):
         np.maximum(out_t, xt[offset(k)], out=out_t)
-    out = Tensor(_from_batch_innermost(out_t, was_3d))
+    out = Tensor(_from_batch_innermost(out_t))
 
     def bw(g):
         if not x.requires_grad:
             return
-        gt = _batch_innermost(g[None] if was_3d else g)
+        gt = _batch_innermost(g)
         # hits[k]: windows whose first row-major maximum sits at offset k
         taken = np.zeros(out_t.shape, dtype=bool)
         hits = []
@@ -641,6 +586,6 @@ def maxpool2d(x, window, stride):
         # row-major window order
         for k in reversed(range(ph * pw)):
             gxt[offset(k)] += gt * hits[k]
-        _accumulate(x, _from_batch_innermost(gxt, was_3d))
+        _accumulate(x, _from_batch_innermost(gxt))
 
     return _record(out, (x,), bw)

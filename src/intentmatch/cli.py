@@ -102,7 +102,6 @@ def make_parser():
     g.add_argument("--test-fraction", type=float, default=1.0 / 6.0)
     g.add_argument("--query-len-min", type=int, default=4)
     g.add_argument("--query-len-max", type=int, default=10)
-    g.add_argument("--l-q", type=int, default=16)
     g.add_argument("--seed", type=int, default=42)
 
     t = sub.add_parser("train", help="train a model and write a checkpoint")
@@ -141,6 +140,11 @@ def _require_files(*paths):
             raise FileNotFoundError(f"missing file: {p}")
 
 
+def _write_text(path, text):
+    with atomic_output(path) as f:
+        f.write(text.encode("utf-8"))
+
+
 def cmd_gen(args):
     cfg = SyntheticConfig(
         num_categories=args.categories,
@@ -153,7 +157,6 @@ def cmd_gen(args):
         test_fraction=args.test_fraction,
         query_len_min=args.query_len_min,
         query_len_max=args.query_len_max,
-        query_l_max=args.l_q,
     )
     data = generate_synthetic(cfg)
     out = Path(args.out_dir)
@@ -189,8 +192,7 @@ def cmd_train(args):
         print(line)
 
     history, state = train(model, data, cats, tc, log_fn=log_fn)
-    with atomic_output(args.loss_log) as f:
-        f.write("".join(l + "\n" for l in lines).encode("utf-8"))
+    _write_text(args.loss_log, "".join(l + "\n" for l in lines))
     run_config = {k: v for k, v in dataclasses.asdict(config).items() if k not in _DATA_FIELDS}
     run_config.update(dataclasses.asdict(tc))
     save_checkpoint(args.checkpoint_out, model, vocab, cats, state,
@@ -219,14 +221,14 @@ def cmd_eval(args):
 
     header = _config_header_lines(loaded.extra, args.threshold)
     text = "".join(h + "\n" for h in header) + "\n" + render_text_report(report)
-    Path(args.report_out).write_text(text, encoding="utf-8")
+    _write_text(args.report_out, text)
 
     records = render_records(report)
     run_cfg = loaded.extra.get("run_config", {})
     run_rows = "".join(
         f"run\t-\t{k}\t{run_cfg[k]}\n" for k in sorted(run_cfg)
     )
-    Path(args.records_out).write_text(run_rows + records, encoding="utf-8")
+    _write_text(args.records_out, run_rows + records)
     print(render_text_report(report), end="")
 
     if args.ablation:
@@ -246,7 +248,7 @@ def cmd_eval(args):
             raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
         results = run_ablation_suite(train_data, data, cats, base, tc, model_seed=tc.seed)
         table = "".join(h + "\n" for h in header) + "\n" + render_ablation_table(results)
-        Path(args.ablation_out).write_text(table, encoding="utf-8")
+        _write_text(args.ablation_out, table)
         print(render_ablation_table(results), end="")
     return 0
 

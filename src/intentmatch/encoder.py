@@ -11,7 +11,6 @@ contextual vector per input position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,26 +18,6 @@ from . import autodiff as ad
 from .errors import ConfigError, VocabError
 
 LAYERNORM_EPS = 1e-5
-
-
-@dataclass
-class EncoderConfig:
-    vocab_size: int
-    d: int = 64
-    num_layers: int = 2
-    num_heads: int = 4
-    ffn_width: int = 0  # 0 means 4*d
-    max_len: int = 32
-
-    def __post_init__(self):
-        if self.ffn_width == 0:
-            self.ffn_width = 4 * self.d
-        if self.d % self.num_heads != 0:
-            raise ConfigError(
-                f"d={self.d} not divisible by num_heads={self.num_heads}"
-            )
-        if self.vocab_size < 2:
-            raise ConfigError("vocab must include at least PAD and UNK")
 
 
 def _zeros(shape):
@@ -50,31 +29,33 @@ class EncoderParams:
     """All encoder weights, registered in a fixed declaration order."""
 
     def __init__(self, config, rng):
-        c = config
-        self.config = c
+        """Weights for a ModelConfig: max(l_q, l_c) positions, FFN width encoder_ffn or 4*d."""
+        d = config.d
+        ffn = config.encoder_ffn or 4 * d
+        self.num_heads = config.encoder_heads
         self._registry = []
 
         def reg(name, tensor):
             self._registry.append((name, tensor))
             return tensor
 
-        self.tok_emb = reg("tok_emb", ad.parameter(rng, (c.vocab_size, c.d), c.d))
-        self.pos_emb = reg("pos_emb", ad.parameter(rng, (c.max_len, c.d), c.d))
+        self.tok_emb = reg("tok_emb", ad.parameter(rng, (config.vocab_size, d), d))
+        self.pos_emb = reg("pos_emb", ad.parameter(rng, (max(config.l_q, config.l_c), d), d))
         self.layers = []
-        for i in range(c.num_layers):
+        for i in range(config.encoder_layers):
             layer = {
-                "w_q": ad.parameter(rng, (c.d, c.d), c.d),
-                "w_k": ad.parameter(rng, (c.d, c.d), c.d),
-                "w_v": ad.parameter(rng, (c.d, c.d), c.d),
-                "w_o": ad.parameter(rng, (c.d, c.d), c.d),
-                "ln1_g": ad.Tensor(np.ones(c.d), requires_grad=True),
-                "ln1_b": _zeros(c.d),
-                "ffn_w1": ad.parameter(rng, (c.d, c.ffn_width), c.d),
-                "ffn_b1": _zeros(c.ffn_width),
-                "ffn_w2": ad.parameter(rng, (c.ffn_width, c.d), c.ffn_width),
-                "ffn_b2": _zeros(c.d),
-                "ln2_g": ad.Tensor(np.ones(c.d), requires_grad=True),
-                "ln2_b": _zeros(c.d),
+                "w_q": ad.parameter(rng, (d, d), d),
+                "w_k": ad.parameter(rng, (d, d), d),
+                "w_v": ad.parameter(rng, (d, d), d),
+                "w_o": ad.parameter(rng, (d, d), d),
+                "ln1_g": ad.Tensor(np.ones(d), requires_grad=True),
+                "ln1_b": _zeros(d),
+                "ffn_w1": ad.parameter(rng, (d, ffn), d),
+                "ffn_b1": _zeros(ffn),
+                "ffn_w2": ad.parameter(rng, (ffn, d), ffn),
+                "ffn_b2": _zeros(d),
+                "ln2_g": ad.Tensor(np.ones(d), requires_grad=True),
+                "ln2_b": _zeros(d),
             }
             for key, tensor in layer.items():
                 reg(f"layer{i}.{key}", tensor)
@@ -128,19 +109,19 @@ def encode(ids, lengths, params):
 
     ids is [B, L]; lengths holds each row's true (pre-padding) length.
     """
-    c = params.config
+    vocab_size, max_len = params.tok_emb.shape[0], params.pos_emb.shape[0]
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ConfigError(f"encode expects [batch, length] ids, got shape {ids.shape}")
     length = ids.shape[1]
-    if length > c.max_len:
-        raise ConfigError(f"sequence length {length} exceeds max_len {c.max_len}")
-    if ids.min() < 0 or ids.max() >= c.vocab_size:
-        bad = ids[(ids < 0) | (ids >= c.vocab_size)][0]
-        raise VocabError(f"token id {bad} outside vocab of size {c.vocab_size}")
-    x = ad.embedding(params.tok_emb, ids) + params.pos_emb[:length]
+    if length > max_len:
+        raise ConfigError(f"sequence length {length} exceeds max_len {max_len}")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        bad = ids[(ids < 0) | (ids >= vocab_size)][0]
+        raise VocabError(f"token id {bad} outside vocab of size {vocab_size}")
+    x = ad.embedding(params.tok_emb, ids) + ad.embedding(params.pos_emb, np.arange(length))
     key_mask = length_mask(lengths, length)
     for layer in params.layers:
-        x = _attention_block(x, layer, key_mask, c.num_heads)
+        x = _attention_block(x, layer, key_mask, params.num_heads)
         x = _ffn_block(x, layer)
     return x

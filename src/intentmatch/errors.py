@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared config minimum check."""
 
 
 class ConfigError(ValueError):
     """A configuration value is invalid or internally inconsistent."""
+
+
+def check_minimums(config, minimums):
+    """Raise ConfigError naming the first field of `config` below its minimum."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if value < low:
+            raise ConfigError(f"{name} must be at least {low}, got {value}")
 
 
 class VocabError(ValueError):

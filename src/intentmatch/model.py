@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import EncoderConfig, EncoderParams, encode, length_mask
-from .errors import ConfigError
+from .encoder import EncoderParams, encode, length_mask
+from .errors import ConfigError, check_minimums
 from .textdata import TokenSequence, assemble_category_text
 
 VARIANTS = ("full", "no_self", "no_char", "no_semantic")
@@ -60,16 +60,17 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.num_categories < 1:
             raise ConfigError("need at least one category")
-
-    def encoder_config(self):
-        return EncoderConfig(
-            vocab_size=self.vocab_size,
-            d=self.d,
-            num_layers=self.encoder_layers,
-            num_heads=self.encoder_heads,
-            ffn_width=self.encoder_ffn,
-            max_len=max(self.l_q, self.l_c),
-        )
+        if self.vocab_size < 2:
+            raise ConfigError("vocab must include at least PAD and UNK")
+        check_minimums(self, dict(
+            d=1, l_q=1, l_c=1, encoder_layers=0, encoder_heads=1, encoder_ffn=0,
+            conv_filters=1, conv_blocks=1,
+        ))
+        for name in ("conv_window", "conv_stride", "pool_window", "pool_stride"):
+            if min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.d % self.encoder_heads != 0:
+            raise ConfigError(f"d={self.d} not divisible by encoder_heads={self.encoder_heads}")
 
 
 def conv_stack_dims(config):
@@ -293,7 +294,7 @@ class Model:
     def __init__(self, config, rng):
         self.config = config
         flat_dim(config)  # validate conv arithmetic before allocating
-        self.encoder = EncoderParams(config.encoder_config(), rng)
+        self.encoder = EncoderParams(config, rng)
         self.self_params = None
         self.char_params = None
         self.semantic_params = None

@@ -10,11 +10,12 @@ the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_minimums
 from .textdata import (
     CategorySet,
     LabeledQuery,
@@ -53,6 +54,25 @@ class SyntheticConfig:
     core_tokens_per_category: int = 4
     query_l_max: int = 16
 
+    def __post_init__(self):
+        if self.num_categories < 2:
+            raise ConfigError(f"need at least 2 categories, got {self.num_categories}")
+        if min(self.core_tokens_per_category, self.vocab_size // self.num_categories) < 2:
+            raise ConfigError(
+                f"vocab of {self.vocab_size} cannot give {self.num_categories} categories "
+                f">= 2 disjoint core tokens each"
+            )
+        check_minimums(self, dict(queries_per_category=1, query_len_min=1, seed=0))
+        if self.query_len_max < self.query_len_min:
+            raise ConfigError(
+                f"query_len_max {self.query_len_max} is below query_len_min {self.query_len_min}"
+            )
+        if not math.isfinite(self.tail_exponent):
+            raise ConfigError(f"tail_exponent must be finite, got {self.tail_exponent}")
+        for name in ("multi_label_fraction", "noise", "test_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+
 
 @dataclass
 class SyntheticDataset:
@@ -78,14 +98,7 @@ def _category_counts(cfg):
 
 def generate_synthetic(cfg):
     """Build (vocab, categories, train, test) deterministically from cfg."""
-    if cfg.num_categories < 2:
-        raise ConfigError(f"need at least 2 categories, got {cfg.num_categories}")
     core_size = min(cfg.core_tokens_per_category, cfg.vocab_size // cfg.num_categories)
-    if core_size < 2:
-        raise ConfigError(
-            f"vocab of {cfg.vocab_size} cannot give {cfg.num_categories} categories "
-            f">= 2 disjoint core tokens each"
-        )
     rng = np.random.default_rng(cfg.seed)
     pool = _char_pool(cfg.vocab_size)
     vocab = Vocab(pool)

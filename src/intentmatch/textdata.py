@@ -25,9 +25,6 @@ PAD_ID = 0
 UNK_ID = 1
 NUM_RESERVED = 2
 
-DEFAULT_QUERY_LEN = 16
-DEFAULT_CATEGORY_LEN = 32
-
 
 class Vocab:
     """Token <-> id map with reserved PAD=0 and UNK=1."""
@@ -130,7 +127,7 @@ def tokenize(text, vocab, l_max):
     return TokenSequence(np.array(ids[:l_max], dtype=np.int64), true_length)
 
 
-def assemble_category_text(rec, l_max=DEFAULT_CATEGORY_LEN):
+def assemble_category_text(rec, l_max):
     """Category token sequence: name ids, then product-word ids, padded.
 
     Truncation keeps the front of the concatenation, so the name always
@@ -187,7 +184,7 @@ def save_dataset(path, queries):
         f.write(serialize_dataset(queries))
 
 
-def load_dataset(path, vocab, num_categories, l_max=DEFAULT_QUERY_LEN, require_labels=True):
+def load_dataset(path, vocab, num_categories, l_max):
     queries = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -199,7 +196,7 @@ def load_dataset(path, vocab, num_categories, l_max=DEFAULT_QUERY_LEN, require_l
             text, _, id_field = line.rpartition("\t")
             labels = np.zeros(num_categories)
             raw_ids = [s for s in id_field.split(",") if s]
-            if require_labels and not raw_ids:
+            if not raw_ids:
                 raise DataFormatError(f"{path}:{lineno}: query has no labels")
             for s in raw_ids:
                 try:

@@ -29,6 +29,7 @@ from .errors import (
     CorruptCheckpointError,
     NonFiniteError,
     VersionMismatchError,
+    check_minimums,
 )
 from .model import Model, ModelConfig, multilabel_loss
 
@@ -40,7 +41,7 @@ CHECKPOINT_VERSION = 1
 class AdamState:
     """Bias-corrected Adam moments for one named parameter list."""
 
-    lr: float = 5e-5
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -49,7 +50,7 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, named_params, lr=5e-5):
+    def for_params(cls, named_params, lr):
         state = cls(lr=lr)
         for name, tensor in named_params:
             state.m[name] = np.zeros_like(tensor.data)
@@ -86,10 +87,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
+        check_minimums(self, dict(batch_size=1, epochs=0, seed=0))
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number above 0, got {self.lr}")
 

@@ -43,10 +43,7 @@ def max_rel_err(a, b, floor=1e-3):
 
 
 def conv2d_loop(x, kernels, bias, stride=(1, 1)):
-    """Brute-force valid cross-correlation. x: [C,H,W] or [N,C,H,W]."""
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
+    """Brute-force valid cross-correlation. x: [N,C,H,W]."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = kernels.shape
     sh, sw = stride
@@ -63,15 +60,11 @@ def conv2d_loop(x, kernels, bias, stride=(1, 1)):
                             for b in range(kw):
                                 acc += kernels[o, c, a, b] * x[ni, c, i * sh + a, j * sw + b]
                     out[ni, o, i, j] = acc
-    return out[0] if squeeze else out
+    return out
 
 
 def conv2d_loop_backward(x, kernels, g_out, stride=(1, 1)):
     """Loop gradients of conv2d w.r.t. input, kernels and bias."""
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
-        g_out = g_out[None]
     n, cin, h, w = x.shape
     cout, _, kh, kw = kernels.shape
     sh, sw = stride
@@ -90,14 +83,11 @@ def conv2d_loop_backward(x, kernels, g_out, stride=(1, 1)):
                             for b in range(kw):
                                 gk[o, c, a, b] += g * x[ni, c, i * sh + a, j * sw + b]
                                 gx[ni, c, i * sh + a, j * sw + b] += g * kernels[o, c, a, b]
-    return (gx[0] if squeeze else gx), gk, gb
+    return gx, gk, gb
 
 
 def maxpool2d_loop(x, window, stride):
-    """Brute-force max pooling, dropping partial trailing windows."""
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
+    """Brute-force max pooling over [N,C,H,W], dropping partial trailing windows."""
     n, c, h, w = x.shape
     ph, pw = window
     sh, sw = stride
@@ -109,15 +99,11 @@ def maxpool2d_loop(x, window, stride):
             for i in range(ho):
                 for j in range(wo):
                     out[ni, ci, i, j] = x[ni, ci, i * sh : i * sh + ph, j * sw : j * sw + pw].max()
-    return out[0] if squeeze else out
+    return out
 
 
 def maxpool2d_loop_backward(x, window, stride, g_out):
     """Route each output gradient to the first row-major max of its window."""
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
-        g_out = g_out[None]
     n, c, h, w = x.shape
     ph, pw = window
     sh, sw = stride
@@ -130,7 +116,7 @@ def maxpool2d_loop_backward(x, window, stride, g_out):
                     block = x[ni, ci, i * sh : i * sh + ph, j * sw : j * sw + pw]
                     a, b = np.unravel_index(np.argmax(block), block.shape)
                     gx[ni, ci, i * sh + a, j * sw + b] += g_out[ni, ci, i, j]
-    return gx[0] if squeeze else gx
+    return gx
 
 
 _ACCEPTANCE_RESULTS = []

@@ -1,5 +1,6 @@
 """End-to-end command-line tests over a small generated dataset."""
 
+import os
 import re
 
 import numpy as np
@@ -17,7 +18,6 @@ TINY_GEN = [
     "--queries-per-category", "12",
     "--query-len-min", "3",
     "--query-len-max", "6",
-    "--l-q", "8",
     "--noise", "0.0",
     "--multi-label-fraction", "0.0",
     "--seed", "7",
@@ -41,17 +41,22 @@ def gen(tmp_path, extra=()):
     return out
 
 
-def train(tmp_path, data_dir, extra=()):
-    tmp_path.mkdir(parents=True, exist_ok=True)
-    ckpt = tmp_path / "model.ckpt"
-    log = tmp_path / "loss.tsv"
-    rc = main([
+def train_argv(data_dir, out_dir):
+    """`train` reading data_dir and writing out_dir/m.ckpt and out_dir/l.tsv."""
+    return [
         "train",
         "--train-file", str(data_dir / "train.tsv"),
         "--categories-file", str(data_dir / "categories.tsv"),
         "--vocab-file", str(data_dir / "vocab.txt"),
-        "--checkpoint-out", str(ckpt),
-        "--loss-log", str(log),
+        "--checkpoint-out", str(out_dir / "m.ckpt"),
+        "--loss-log", str(out_dir / "l.tsv"),
+    ]
+
+
+def train(tmp_path, data_dir, extra=()):
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    rc = main([
+        *train_argv(data_dir, tmp_path),
         *TINY_MODEL,
         "--epochs", "2",
         "--batch-size", "8",
@@ -60,7 +65,7 @@ def train(tmp_path, data_dir, extra=()):
         *extra,
     ])
     assert rc == 0
-    return ckpt, log
+    return tmp_path / "m.ckpt", tmp_path / "l.tsv"
 
 
 class TestGen:
@@ -119,14 +124,9 @@ class TestTrain:
 
     def test_missing_categories_file_exits_nonzero_naming_path(self, tmp_path, capsys):
         data = gen(tmp_path)
-        rc = main([
-            "train",
-            "--train-file", str(data / "train.tsv"),
-            "--categories-file", str(data / "nope.tsv"),
-            "--vocab-file", str(data / "vocab.txt"),
-            "--checkpoint-out", str(tmp_path / "m.ckpt"),
-            "--loss-log", str(tmp_path / "l.tsv"),
-        ])
+        argv = train_argv(data, tmp_path)
+        argv[argv.index("--categories-file") + 1] = str(data / "nope.tsv")
+        rc = main(argv)
         assert rc != 0
         assert "nope.tsv" in capsys.readouterr().err
 
@@ -173,15 +173,7 @@ class TestTrainFlags:
     def test_zero_batch_size_exits_2_without_traceback(self, tmp_path, capsys):
         data = gen(tmp_path)
         capsys.readouterr()
-        rc = main([
-            "train",
-            "--train-file", str(data / "train.tsv"),
-            "--categories-file", str(data / "categories.tsv"),
-            "--vocab-file", str(data / "vocab.txt"),
-            "--checkpoint-out", str(tmp_path / "m.ckpt"),
-            "--loss-log", str(tmp_path / "l.tsv"),
-            "--batch-size", "0",
-        ])
+        rc = main([*train_argv(data, tmp_path), "--batch-size", "0"])
         err = capsys.readouterr().err
         assert rc == 2
         assert "batch_size" in err
@@ -193,20 +185,58 @@ class TestTrainFlags:
     def test_non_finite_or_zero_lr_exits_2_without_checkpoint(self, tmp_path, capsys, lr):
         data = gen(tmp_path)
         capsys.readouterr()
-        rc = main([
-            "train",
-            "--train-file", str(data / "train.tsv"),
-            "--categories-file", str(data / "categories.tsv"),
-            "--vocab-file", str(data / "vocab.txt"),
-            "--checkpoint-out", str(tmp_path / "m.ckpt"),
-            "--loss-log", str(tmp_path / "l.tsv"),
-            "--lr", lr,
-        ])
+        rc = main([*train_argv(data, tmp_path), "--lr", lr])
         err = capsys.readouterr().err
         assert rc == 2
         assert "lr" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+# (command, flags, a word the error line must contain)
+MALFORMED_FLAGS = [
+    ("train", ["--encoder-heads", "0"], "encoder_heads"),
+    ("train", ["--d", "0"], "d must"),
+    ("train", ["--d", "-2"], "d must"),
+    ("train", ["--conv-filters", "0"], "conv_filters"),
+    ("train", ["--conv-blocks", "0"], "conv_blocks"),
+    ("train", ["--conv-stride", "0,0"], "conv_stride"),
+    ("train", ["--pool-stride", "0,0"], "pool_stride"),
+    ("train", ["--conv-window", "0,0"], "conv_window"),
+    ("train", ["--encoder-ffn", "-1"], "encoder_ffn"),
+    ("train", ["--seed", "-1"], "seed"),
+    ("gen", ["--query-len-min", "5", "--query-len-max", "2"], "query_len_min"),
+    ("gen", ["--seed", "-1"], "seed"),
+    ("gen", ["--test-fraction", "2"], "test_fraction"),
+    ("gen", ["--noise", "2"], "noise"),
+    ("gen", ["--multi-label-fraction", "2"], "multi_label_fraction"),
+    ("gen", ["--tail-exponent", "nan"], "tail_exponent"),
+    ("gen", ["--queries-per-category", "0"], "queries_per_category"),
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    return gen(tmp_path_factory.mktemp("tiny"))
+
+
+class TestMalformedFlags:
+    @pytest.mark.parametrize(
+        "command, flags, word", MALFORMED_FLAGS,
+        ids=[" ".join([c[0], *c[1]]) for c in MALFORMED_FLAGS],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, tiny_data, command, flags, word):
+        if command == "gen":
+            argv, output = ["gen", "--out-dir", str(tmp_path / "out")], tmp_path / "out"
+        else:
+            argv, output = train_argv(tiny_data, tmp_path), tmp_path / "m.ckpt"
+        capsys.readouterr()
+        rc = main([*argv, *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert word in err
+        assert not output.exists()
 
 
 class TestNonFiniteTraining:
@@ -223,15 +253,7 @@ class TestNonFiniteTraining:
 
         monkeypatch.setattr(cli, "Model", model_with_inf)
         capsys.readouterr()
-        rc = main([
-            "train",
-            "--train-file", str(data / "train.tsv"),
-            "--categories-file", str(data / "categories.tsv"),
-            "--vocab-file", str(data / "vocab.txt"),
-            "--checkpoint-out", str(tmp_path / "m.ckpt"),
-            "--loss-log", str(tmp_path / "l.tsv"),
-            *TINY_MODEL,
-        ])
+        rc = main([*train_argv(data, tmp_path), *TINY_MODEL])
         err = capsys.readouterr().err
         assert rc == 4
         assert "epoch 1, batch 1" in err and "encoder.tok_emb" in err
@@ -277,6 +299,21 @@ class TestEval:
         _, r2, c2 = self.run_eval(tmp_path / "e2", data, ckpt)
         assert r1.read_bytes() == r2.read_bytes()
         assert c1.read_bytes() == c2.read_bytes()
+
+    def test_failed_write_keeps_the_old_report_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        out = tmp_path / "eval"
+        _, report, records = self.run_eval(out, data, ckpt)
+        before = {p.name: p.read_bytes() for p in (report, records)}
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            self.run_eval(out, data, ckpt, extra=["--threshold", "0.3"])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_ablation_table(self, tmp_path):
         data = gen(tmp_path)

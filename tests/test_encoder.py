@@ -5,7 +5,7 @@ import pytest
 
 from conftest import central_difference_grad, max_rel_err
 from intentmatch import autodiff as ad
-from intentmatch.encoder import EncoderConfig, EncoderParams, encode
+from intentmatch.encoder import EncoderParams, encode
 from intentmatch.errors import ConfigError, VocabError
 from intentmatch.model import Model, ModelConfig
 from intentmatch.textdata import (
@@ -19,10 +19,12 @@ from intentmatch.textdata import (
 
 
 def tiny_params(seed=0, **overrides):
-    defaults = dict(vocab_size=8, d=4, num_layers=1, num_heads=2, ffn_width=8, max_len=6)
+    defaults = dict(
+        vocab_size=8, num_categories=1, d=4, encoder_layers=1, encoder_heads=2,
+        encoder_ffn=8, l_q=6, l_c=6,
+    )
     defaults.update(overrides)
-    cfg = EncoderConfig(**defaults)
-    return EncoderParams(cfg, np.random.default_rng(seed))
+    return EncoderParams(ModelConfig(**defaults), np.random.default_rng(seed))
 
 
 def tiny_model(vocab, num_categories):
@@ -40,22 +42,31 @@ def seq(ids, true_length=None):
 
 def encode_one(s, p):
     """The [L, d] rows of one sequence, encoded as a batch of one."""
-    return encode(s.ids[None], [s.true_length], p)[0]
+    out = encode(s.ids[None], [s.true_length], p)
+    return ad.reshape(out, out.shape[1:])
 
 
 class TestConfig:
     def test_heads_must_divide_d(self):
-        with pytest.raises(ConfigError, match="num_heads"):
-            EncoderConfig(vocab_size=8, d=6, num_heads=4)
+        with pytest.raises(ConfigError, match="encoder_heads"):
+            ModelConfig(vocab_size=8, num_categories=1, d=6, encoder_heads=4)
 
     def test_ffn_width_defaults_to_4d(self):
-        assert EncoderConfig(vocab_size=8, d=16).ffn_width == 64
+        p = tiny_params(d=16, encoder_ffn=0)
+        assert p.layers[0]["ffn_w1"].shape == (16, 64)
+
+    def test_vocab_needs_pad_and_unk(self):
+        with pytest.raises(ConfigError, match="PAD and UNK"):
+            ModelConfig(vocab_size=1, num_categories=1)
+
+    def test_position_table_covers_the_longer_text(self):
+        assert tiny_params(l_q=3, l_c=7).pos_emb.shape == (7, 4)
 
 
 class TestDegenerateStack:
     def test_zero_layers_is_embedding_sum(self):
-        """num_layers=0 output equals token plus position rows exactly."""
-        p = tiny_params(num_layers=0)
+        """encoder_layers=0 output equals token plus position rows exactly."""
+        p = tiny_params(encoder_layers=0)
         s = seq([2, 5, 3])
         out = encode_one(s, p)
         expected = p.tok_emb.data[[2, 5, 3]] + p.pos_emb.data[:3]
@@ -63,7 +74,7 @@ class TestDegenerateStack:
 
     def test_swap_moves_token_component_only(self):
         """Swapping two tokens permutes the token part; position part stays."""
-        p = tiny_params(num_layers=0)
+        p = tiny_params(encoder_layers=0)
         a = encode_one(seq([2, 5, 3]), p).data - p.pos_emb.data[:3]
         b = encode_one(seq([5, 2, 3]), p).data - p.pos_emb.data[:3]
         assert np.array_equal(a[0], b[1])
@@ -83,7 +94,7 @@ class TestValidation:
             encode_one(seq([2, 99]), p)
 
     def test_sequence_longer_than_position_table(self):
-        p = tiny_params(max_len=3)
+        p = tiny_params(l_q=3, l_c=3)
         with pytest.raises(ConfigError, match="max_len"):
             encode_one(seq([2, 2, 2, 2]), p)
 
@@ -91,7 +102,7 @@ class TestValidation:
 class TestMasking:
     def test_pad_ids_never_leak_into_valid_positions(self):
         """Non-pad outputs are bit-identical whatever sits in PAD slots."""
-        p = tiny_params(num_layers=2)
+        p = tiny_params(encoder_layers=2)
         base = encode_one(seq([2, 5, 0, 0], true_length=2), p).data
         poisoned = encode_one(seq([2, 5, 7, 6], true_length=2), p).data
         assert np.array_equal(base[:2], poisoned[:2])
@@ -122,9 +133,9 @@ class TestSharedSpace:
         )
         outs = model.encode_categories(cats)
         assert outs.tensors.shape[0] == 2
-        for rec, out, length in zip(cats, outs.tensors, outs.lengths):
+        for rec, out, length in zip(cats, outs.tensors.data, outs.lengths):
             text = assemble_category_text(rec, l_max=5)
-            assert np.array_equal(out.data, encode_one(text, model.encoder).data)
+            assert np.array_equal(out, encode_one(text, model.encoder).data)
             assert length == text.true_length
 
     def test_identical_category_texts_identical_encodings(self):
@@ -133,16 +144,16 @@ class TestSharedSpace:
         cats = CategorySet(
             [make_category_record(v, 0, "ab", []), make_category_record(v, 1, "ab", [])]
         )
-        outs = model.encode_categories(cats).tensors
-        assert np.array_equal(outs[0].data, outs[1].data)
+        outs = model.encode_categories(cats).tensors.data
+        assert np.array_equal(outs[0], outs[1])
 
     def test_encodings_change_after_parameter_update(self):
         v = Vocab(list("abcd"))
         model = tiny_model(v, 1)
         cats = CategorySet([make_category_record(v, 0, "ab", [])])
-        before = model.encode_categories(cats).tensors[0].data.copy()
+        before = model.encode_categories(cats).tensors.data[0].copy()
         model.encoder.tok_emb.data[2] += 0.5
-        after = model.encode_categories(cats).tensors[0].data
+        after = model.encode_categories(cats).tensors.data[0]
         assert not np.array_equal(before, after)
 
 
@@ -155,7 +166,7 @@ class TestGradients:
             loss = ad.reduce_sum(out * out)
         ad.backward(loss, tape)
         used = {2, 5, 3, 0}
-        for tid in range(p.config.vocab_size):
+        for tid in range(p.tok_emb.shape[0]):
             row = p.tok_emb.grad[tid]
             if tid in used:
                 assert np.any(row != 0)
@@ -167,7 +178,7 @@ class TestGradients:
         p = tiny_params(seed=3)
         s = seq([2, 5, 3, 0], true_length=3)
         rng = np.random.default_rng(9)
-        probe = rng.normal(size=(4, p.config.d))
+        probe = rng.normal(size=(4, 4))
 
         def loss_value():
             out = encode_one(s, p)
@@ -185,14 +196,14 @@ class TestGradients:
 
 class TestBatch:
     def test_rows_match_single_sequence_encodes(self):
-        p = tiny_params(num_layers=2)
+        p = tiny_params(encoder_layers=2)
         seqs = [
             seq([2, 5, 3, 0], true_length=3),
             seq([7, 0, 0, 0], true_length=1),
             seq([4, 4, 6, 2]),
         ]
         out = encode(np.stack([s.ids for s in seqs]), [s.true_length for s in seqs], p).data
-        assert out.shape == (3, 4, p.config.d)
+        assert out.shape == (3, 4, 4)
         for row, s in zip(out, seqs):
             assert np.abs(row - encode_one(s, p).data).max() <= 1e-12
 

@@ -212,27 +212,25 @@ class TestFileRoundTrips:
         path = tmp_path / "bad.tsv"
         path.write_text("ok\t0\nbroken line\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"bad\.tsv:2"):
-            load_dataset(path, Vocab(["o", "k"]), 2)
+            load_dataset(path, Vocab(["o", "k"]), 2, l_max=4)
 
     def test_bad_category_id_is_diagnosed(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q\tzero\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"bad\.tsv:1.*'zero'"):
-            load_dataset(path, Vocab(["q"]), 2)
+            load_dataset(path, Vocab(["q"]), 2, l_max=4)
 
     def test_out_of_range_id_is_diagnosed(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q\t5\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"bad\.tsv:1.*5"):
-            load_dataset(path, Vocab(["q"]), 2)
+            load_dataset(path, Vocab(["q"]), 2, l_max=4)
 
     def test_unlabeled_line_rejected_when_labels_required(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q\t\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="no labels"):
-            load_dataset(path, Vocab(["q"]), 2)
-        got = load_dataset(path, Vocab(["q"]), 2, require_labels=False)
-        assert len(got) == 1 and got[0].labels.sum() == 0
+            load_dataset(path, Vocab(["q"]), 2, l_max=4)
 
     def test_categories_round_trip(self, tmp_path):
         v = Vocab(list("abcdef"))
@@ -368,7 +366,7 @@ class TestSyntheticGenerator:
         save_dataset(tmp_path / "train.tsv", data.train)
         vocab = load_vocab(tmp_path / "vocab.txt")
         cats = load_categories(tmp_path / "cats.tsv", vocab)
-        train = load_dataset(tmp_path / "train.tsv", vocab, len(cats))
+        train = load_dataset(tmp_path / "train.tsv", vocab, len(cats), SyntheticConfig.query_l_max)
         assert vocab.fingerprint() == data.vocab.fingerprint()
         assert cats.fingerprint() == data.categories.fingerprint()
         assert serialize_dataset(train) == serialize_dataset(data.train)

@@ -69,14 +69,14 @@ class TestAdam:
 
     def test_gradients_zeroed_after_step(self):
         w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-        state = AdamState.for_params([("w", w)])
+        state = AdamState.for_params([("w", w)], lr=0.1)
         w.grad[:] = 7.0
         adam_step([("w", w)], state)
         assert np.all(w.grad == 0.0)
 
     def test_buffer_shape_mismatch_rejected(self):
         w = ad.Tensor(np.ones(3), requires_grad=True)
-        state = AdamState.for_params([("w", w)])
+        state = AdamState.for_params([("w", w)], lr=0.1)
         state.m["w"] = np.zeros(4)
         with pytest.raises(ValueError, match="shape"):
             adam_step([("w", w)], state)
@@ -380,7 +380,7 @@ class TestCheckpoint:
         mutate, field = MALFORMED_HEADERS[case]
         model, data = tiny_setup()
         path = tmp_path / "m.ckpt"
-        state = AdamState.for_params(model.parameters())
+        state = AdamState.for_params(model.parameters(), lr=1e-3)
         save_checkpoint(path, model, data.vocab, data.categories, state)
         rewrite_header(path, mutate)
         with pytest.raises(CorruptCheckpointError) as info:
