@@ -4,8 +4,9 @@ Modules:
 
 * :mod:`intentmatch.autodiff` — dense tensor engine with reverse-mode
   differentiation (the substrate every model equation runs on);
-* :mod:`intentmatch.textdata` — tokenization, vocab, dataset file formats
-  and click-CDF label filtering;
+* :mod:`intentmatch.textdata` — tokenization, vocab, dataset file formats,
+  the atomic file write every artifact goes through, and click-CDF label
+  filtering;
 * :mod:`intentmatch.synthetic` — the seeded synthetic dataset generator;
 * :mod:`intentmatch.encoder` — the shared query/category token encoder;
 * :mod:`intentmatch.model` — the model config, self-matching, char-level

@@ -127,7 +127,11 @@ def parameter(rng, shape, fan_in):
 
 
 def _record(out, inputs, backward_fn):
-    """Attach `out` to the active tape when any input carries gradient."""
+    """Attach `out` to the active tape when any input carries gradient.
+
+    A node is recorded only then, so the backward of a single-input op runs
+    only for an input that requires grad and does not test for it.
+    """
     if _tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
@@ -284,8 +288,7 @@ def transpose(a, axes=None):
     inv = np.argsort(axes)
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, np.transpose(g, inv))
+        _accumulate(a, np.transpose(g, inv))
 
     return _record(out, (a,), bw)
 
@@ -294,8 +297,7 @@ def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(a, g.reshape(a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -322,8 +324,7 @@ def embedding(table, ids):
     out = Tensor(table.data[ids])
 
     def bw(g):
-        if table.requires_grad:
-            _accumulate(table, g, ids)
+        _accumulate(table, g, ids)
 
     return _record(out, (table,), bw)
 
@@ -336,8 +337,7 @@ def tanh(a):
     out = Tensor(np.tanh(a.data))
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - out.data * out.data))
+        _accumulate(a, g * (1.0 - out.data * out.data))
 
     return _record(out, (a,), bw)
 
@@ -346,9 +346,8 @@ def relu(a):
     out = Tensor(np.maximum(a.data, 0.0))
 
     def bw(g):
-        if a.requires_grad:
-            # derivative at exactly 0 defined as 0
-            _accumulate(a, g * (a.data > 0.0))
+        # derivative at exactly 0 defined as 0
+        _accumulate(a, g * (a.data > 0.0))
 
     return _record(out, (a,), bw)
 
@@ -369,8 +368,7 @@ def softplus(a):
     out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * stable_sigmoid(x))
+        _accumulate(a, g * stable_sigmoid(x))
 
     return _record(out, (a,), bw)
 
@@ -379,8 +377,7 @@ def sqrt(a):
     out = Tensor(np.sqrt(a.data))
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * 0.5 / out.data)
+        _accumulate(a, g * 0.5 / out.data)
 
     return _record(out, (a,), bw)
 
@@ -405,9 +402,8 @@ def softmax(a, axis, mask=None):
     out = Tensor(e / np.where(s == 0.0, 1.0, s))
 
     def bw(g):
-        if a.requires_grad:
-            y = out.data
-            _accumulate(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        y = out.data
+        _accumulate(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     return _record(out, (a,), bw)
 
@@ -420,9 +416,8 @@ def reduce_sum(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        if a.requires_grad:
-            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.data.shape))
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -432,9 +427,8 @@ def reduce_mean(a, axis=None, keepdims=False):
     n = a.data.size if axis is None else a.data.shape[axis]
 
     def bw(g):
-        if a.requires_grad:
-            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.data.shape) / n)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(gg, a.data.shape) / n)
 
     return _record(out, (a,), bw)
 
@@ -446,6 +440,25 @@ def reduce_mean(a, axis=None, keepdims=False):
 def _require_4d(op, x):
     if x.ndim != 4:
         raise DimensionError(f"{op} expects a 4D [N,C,H,W] input, got {x.shape}")
+
+
+def window_grid(size, window, stride):
+    """(rows, cols) of the windows over a (h, w) input.
+
+    A partial trailing window is dropped; a window larger than the input is an error.
+    """
+    (h, w), (kh, kw), (sh, sw) = size, window, stride
+    if kh > h or kw > w:
+        raise DimensionError(
+            f"window {kh}x{kw} exceeds input {h}x{w}; pad the input or shrink the window"
+        )
+    return (h - kh) // sh + 1, (w - kw) // sw + 1
+
+
+def _tap(a, b, grid, stride):
+    """[C, rows, cols] slices picking each window's element at offset (a, b)."""
+    (ho, wo), (sh, sw) = grid, stride
+    return (slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
 
 
 def _batch_innermost(a):
@@ -485,20 +498,11 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
     cout, kcin, kh, kw = kd.shape
     if kcin != cin:
         raise DimensionError(f"conv2d channel mismatch: input has {cin}, kernels expect {kcin}")
-    if kh > h or kw > w:
-        raise DimensionError(
-            f"conv2d kernel {kh}x{kw} exceeds input {h}x{w}; pad the input or shrink the kernel"
-        )
-    sh, sw = stride
-    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
+    grid = ho, wo = window_grid((h, w), (kh, kw), stride)
     xt = _batch_innermost(xd)  # [cin, h, w, n]
     step = max(1, _COLUMN_ELEMS // (cin * kh * kw * ho * wo))
     slices = [slice(s, s + step) for s in range(0, n, step)]
     k_rows = kd.reshape(cout, cin * kh * kw)
-
-    def window(a, b):
-        """[cin, ho, wo] slices picking the inputs at kernel offset (a, b)."""
-        return (slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
 
     def columns(sl):
         """[cin*kh*kw, ho*wo*n] window columns of the maps in slice sl."""
@@ -506,19 +510,18 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
         cols = np.empty((cin, kh, kw, ho, wo, xs.shape[-1]))
         for a in range(kh):
             for b in range(kw):
-                cols[:, a, b] = xs[window(a, b)]
+                cols[:, a, b] = xs[_tap(a, b, grid, stride)]
         return cols.reshape(cin * kh * kw, -1)
 
     out_t = np.empty((cout, ho, wo, n))
     for sl in slices:
         out_t[..., sl] = (k_rows @ columns(sl)).reshape(cout, ho, wo, -1)
-    if bias is not None:
-        out_t += bias.data[:, None, None, None]
+    out_t += bias.data[:, None, None, None]
     out = Tensor(_from_batch_innermost(out_t))
 
     def bw(g):
         gt = _batch_innermost(g)  # [cout, ho, wo, n]
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accumulate(bias, gt.sum(axis=(1, 2, 3)))
         gxt = np.zeros_like(xt) if x.requires_grad else None
         for sl in slices:
@@ -531,12 +534,11 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
                 gx_sl = gxt[..., sl]
                 for a in range(kh):
                     for b in range(kw):
-                        gx_sl[window(a, b)] += g_cols[:, a, b]
+                        gx_sl[_tap(a, b, grid, stride)] += g_cols[:, a, b]
         if gxt is not None:
             _accumulate(x, _from_batch_innermost(gxt))
 
-    inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    return _record(out, inputs, bw)
+    return _record(out, (x, kernels, bias), bw)
 
 
 def maxpool2d(x, window, stride):
@@ -553,17 +555,12 @@ def maxpool2d(x, window, stride):
     """
     _require_4d("maxpool2d", x)
     ph, pw = window
-    sh, sw = stride
-    h, w = x.shape[2:]
-    if ph > h or pw > w:
-        raise DimensionError(f"maxpool2d window {ph}x{pw} exceeds input {h}x{w}")
-    ho, wo = (h - ph) // sh + 1, (w - pw) // sw + 1
+    grid = window_grid(x.shape[2:], window, stride)
     xt = _batch_innermost(x.data)  # [c, h, w, n]
 
     def offset(k):
         """Slices picking, for every window, its element at row-major offset k."""
-        a, b = divmod(k, pw)
-        return (slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
+        return _tap(*divmod(k, pw), grid, stride)
 
     out_t = xt[offset(0)].copy(order="K")
     for k in range(1, ph * pw):
@@ -571,8 +568,6 @@ def maxpool2d(x, window, stride):
     out = Tensor(_from_batch_innermost(out_t))
 
     def bw(g):
-        if not x.requires_grad:
-            return
         gt = _batch_innermost(g)
         # hits[k]: windows whose first row-major maximum sits at offset k
         taken = np.zeros(out_t.shape, dtype=bool)

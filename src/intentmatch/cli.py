@@ -4,12 +4,14 @@ Every command is deterministic given its flags (seeds are flags), and the
 resolved configuration is echoed into each output artifact: the checkpoint
 stores it in its header, report files carry it as header lines or records,
 and `gen` writes a sidecar run.json (the dataset files themselves have a
-fixed line format with no room for headers).
+fixed line format with no room for headers).  Every file is written
+atomically.  The `gen` and `train` flags are generated from the fields, and
+take the defaults, of `SyntheticConfig` and of `ModelConfig`/`TrainConfig`.
 
-Exit codes: 0 success; 2 a missing file or an invalid flag, config, dataset,
-vocab or category file; 3 an unreadable or mismatched checkpoint; 4 training
-diverged (a NaN or infinite loss or parameter), in which case `train`
-writes neither the checkpoint nor the loss log.
+Exit codes (`_EXIT_CODES`): 0 success; 2 a missing file or an invalid flag,
+config, dataset, vocab or category file; 3 an unreadable or mismatched
+checkpoint; 4 training diverged (a NaN or infinite loss or parameter), in
+which case `train` writes neither the checkpoint nor the loss log.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     VocabError,
 )
 from .evaluation import (
+    DEFAULT_THRESHOLD,
     decide,
     evaluate,
     probabilities,
@@ -49,8 +52,9 @@ from .textdata import (
     save_dataset,
     save_vocab,
     tokenize,
+    write_text,
 )
-from .training import TrainConfig, atomic_output, load_checkpoint, save_checkpoint, train
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 def _pair(text):
@@ -64,23 +68,26 @@ def _pair(text):
 _DATA_FIELDS = ("vocab_size", "num_categories")
 
 
-def _add_config_flags(p, *config_classes):
-    """One --flag per config field, with the field's default and metadata."""
-    for cls in config_classes:
-        for f in dataclasses.fields(cls):
-            if f.name in _DATA_FIELDS:
-                continue
-            flag = "--" + f.name.replace("_", "-")
-            if isinstance(f.default, tuple):
-                p.add_argument(flag, type=_pair, default=f.default, metavar="H,W", **f.metadata)
-            else:
-                p.add_argument(flag, type=type(f.default), default=f.default, **f.metadata)
+def _add_config_flags(p, cls, skip=()):
+    """One flag per field of `cls` not in `skip`, with the field's default and metadata.
+
+    The flag is --<field-name> unless the metadata names another under "flag".
+    """
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        kwargs = {"type": type(f.default), **f.metadata}
+        if isinstance(f.default, tuple):
+            kwargs.update(type=_pair, metavar="H,W")
+        flag = kwargs.pop("flag", "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, default=f.default, **kwargs)
 
 
 def _config_from_args(cls, args, **fixed):
-    """A config dataclass from the parsed flags, plus fields the flags do not set."""
-    names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
-    return cls(**{name: getattr(args, name) for name in names}, **fixed)
+    """A config dataclass from the fields the parsed flags hold, plus `fixed` ones."""
+    given = vars(args)
+    names = [f.name for f in dataclasses.fields(cls) if f.name in given]
+    return cls(**{name: given[name] for name in names}, **fixed)
 
 
 def make_parser():
@@ -93,16 +100,7 @@ def make_parser():
 
     g = sub.add_parser("gen", help="write a synthetic labeled-query dataset")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--categories", type=int, default=8)
-    g.add_argument("--vocab-size", type=int, default=48)
-    g.add_argument("--queries-per-category", type=int, default=300)
-    g.add_argument("--tail-exponent", type=float, default=0.5)
-    g.add_argument("--multi-label-fraction", type=float, default=0.15)
-    g.add_argument("--noise", type=float, default=0.05)
-    g.add_argument("--test-fraction", type=float, default=1.0 / 6.0)
-    g.add_argument("--query-len-min", type=int, default=4)
-    g.add_argument("--query-len-max", type=int, default=10)
-    g.add_argument("--seed", type=int, default=42)
+    _add_config_flags(g, SyntheticConfig, skip=("query_l_max",))
 
     t = sub.add_parser("train", help="train a model and write a checkpoint")
     t.add_argument("--train-file", required=True)
@@ -110,7 +108,8 @@ def make_parser():
     t.add_argument("--vocab-file", required=True)
     t.add_argument("--checkpoint-out", required=True)
     t.add_argument("--loss-log", required=True)
-    _add_config_flags(t, ModelConfig, TrainConfig)
+    _add_config_flags(t, ModelConfig, skip=_DATA_FIELDS)
+    _add_config_flags(t, TrainConfig)
 
     e = sub.add_parser("eval", help="score a dataset against a checkpoint")
     e.add_argument("--checkpoint", required=True)
@@ -119,7 +118,7 @@ def make_parser():
     e.add_argument("--vocab-file", required=True)
     e.add_argument("--report-out", required=True)
     e.add_argument("--records-out", required=True)
-    e.add_argument("--threshold", type=float, default=0.5)
+    e.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     e.add_argument("--ablation", action="store_true",
                    help="retrain full model and all ablations, write a comparison table")
     e.add_argument("--train-file", help="training data, required with --ablation")
@@ -130,34 +129,12 @@ def make_parser():
     q.add_argument("--categories-file", required=True)
     q.add_argument("--vocab-file", required=True)
     q.add_argument("--query", required=True)
-    q.add_argument("--threshold", type=float, default=0.5)
+    q.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     return parser
 
 
-def _require_files(*paths):
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            raise FileNotFoundError(f"missing file: {p}")
-
-
-def _write_text(path, text):
-    with atomic_output(path) as f:
-        f.write(text.encode("utf-8"))
-
-
 def cmd_gen(args):
-    cfg = SyntheticConfig(
-        num_categories=args.categories,
-        vocab_size=args.vocab_size,
-        queries_per_category=args.queries_per_category,
-        tail_exponent=args.tail_exponent,
-        seed=args.seed,
-        multi_label_fraction=args.multi_label_fraction,
-        noise=args.noise,
-        test_fraction=args.test_fraction,
-        query_len_min=args.query_len_min,
-        query_len_max=args.query_len_max,
-    )
+    cfg = _config_from_args(SyntheticConfig, args)
     data = generate_synthetic(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,9 +143,7 @@ def cmd_gen(args):
     save_dataset(out / "train.tsv", data.train)
     save_dataset(out / "test.tsv", data.test)
     sidecar = {"command": "gen", "config": dataclasses.asdict(cfg)}
-    (out / "run.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_text(out / "run.json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     print(f"wrote {len(data.train)} train / {len(data.test)} test queries, "
           f"{len(data.categories)} categories to {out}")
     return 0
@@ -176,7 +151,6 @@ def cmd_gen(args):
 
 def cmd_train(args):
     tc = _config_from_args(TrainConfig, args)
-    _require_files(args.train_file, args.categories_file, args.vocab_file)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     config = _config_from_args(
@@ -192,7 +166,7 @@ def cmd_train(args):
         print(line)
 
     history, state = train(model, data, cats, tc, log_fn=log_fn)
-    _write_text(args.loss_log, "".join(l + "\n" for l in lines))
+    write_text(args.loss_log, "".join(l + "\n" for l in lines))
     run_config = {k: v for k, v in dataclasses.asdict(config).items() if k not in _DATA_FIELDS}
     run_config.update(dataclasses.asdict(tc))
     save_checkpoint(args.checkpoint_out, model, vocab, cats, state,
@@ -201,17 +175,18 @@ def cmd_train(args):
     return 0
 
 
+def _run_config_pairs(run_config):
+    return " ".join(f"{k}={run_config[k]}" for k in sorted(run_config))
+
+
 def _config_header_lines(extra, threshold):
-    run = extra.get("run_config", {})
-    pairs = " ".join(f"{k}={run[k]}" for k in sorted(run))
     return [
-        f"run config (from checkpoint): {pairs}",
+        f"run config (from checkpoint): {_run_config_pairs(extra.get('run_config', {}))}",
         f"eval threshold: {threshold:g}",
     ]
 
 
 def cmd_eval(args):
-    _require_files(args.checkpoint, args.data_file, args.categories_file, args.vocab_file)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
@@ -221,20 +196,19 @@ def cmd_eval(args):
 
     header = _config_header_lines(loaded.extra, args.threshold)
     text = "".join(h + "\n" for h in header) + "\n" + render_text_report(report)
-    _write_text(args.report_out, text)
+    write_text(args.report_out, text)
 
     records = render_records(report)
     run_cfg = loaded.extra.get("run_config", {})
     run_rows = "".join(
         f"run\t-\t{k}\t{run_cfg[k]}\n" for k in sorted(run_cfg)
     )
-    _write_text(args.records_out, run_rows + records)
+    write_text(args.records_out, run_rows + records)
     print(render_text_report(report), end="")
 
     if args.ablation:
         if not args.train_file or not args.ablation_out:
             raise ConfigError("--ablation requires --train-file and --ablation-out")
-        _require_files(args.train_file)
         train_data = load_dataset(args.train_file, vocab, len(cats), l_max=model.config.l_q)
         base = dataclasses.replace(model.config, variant="full")
         # retrain with the settings the checkpoint was built with; keys that
@@ -248,13 +222,12 @@ def cmd_eval(args):
             raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
         results = run_ablation_suite(train_data, data, cats, base, tc, model_seed=tc.seed)
         table = "".join(h + "\n" for h in header) + "\n" + render_ablation_table(results)
-        _write_text(args.ablation_out, table)
+        write_text(args.ablation_out, table)
         print(render_ablation_table(results), end="")
     return 0
 
 
 def cmd_predict(args):
-    _require_files(args.checkpoint, args.categories_file, args.vocab_file)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
@@ -267,8 +240,7 @@ def cmd_predict(args):
     print(f"# query: {args.query!r}  threshold: {args.threshold:g}")
     run_cfg = loaded.extra.get("run_config", {})
     if run_cfg:
-        pairs = " ".join(f"{k}={run_cfg[k]}" for k in sorted(run_cfg))
-        print(f"# run config: {pairs}")
+        print(f"# run config: {_run_config_pairs(run_cfg)}")
     for rank, cid in enumerate(order, start=1):
         mark = "*" if chosen[cid] else " "
         print(f"{rank}\t{cid}\t{cats[int(cid)].name}\t{probs[cid]:.6f}\t{mark}")
@@ -277,23 +249,20 @@ def cmd_predict(args):
 
 _HANDLERS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "predict": cmd_predict}
 
+# the exit code of each error a command ends in with one `error:` line
+_EXIT_CODES = {
+    FileNotFoundError: 2, ConfigError: 2, DataFormatError: 2, VocabError: 2,
+    CheckpointError: 3, NonFiniteError: 4,
+}
+
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except FileNotFoundError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, DataFormatError, VocabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

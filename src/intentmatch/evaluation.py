@@ -22,6 +22,7 @@ from .model import VARIANTS, Model
 from .training import TrainConfig, train
 
 MACRO_CONVENTION = "macro-F1 = unweighted mean of per-category F1"
+DEFAULT_THRESHOLD = 0.5
 # queries per batched forward in `evaluate`
 EVAL_CHUNK = 32
 
@@ -31,7 +32,7 @@ def probabilities(logits):
     return ad.stable_sigmoid(np.asarray(getattr(logits, "data", logits), dtype=np.float64))
 
 
-def decide(logits, threshold=0.5):
+def decide(logits, threshold=DEFAULT_THRESHOLD):
     """Binary label vector: sigmoid(logit) >= threshold, inclusive."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
@@ -69,7 +70,7 @@ def _prf(tp, fp, fn):
     return precision, recall, f1
 
 
-def compute_metrics(preds, golds, threshold=0.5):
+def compute_metrics(preds, golds, threshold=DEFAULT_THRESHOLD):
     """Micro (pooled counts) and macro (per-category means) P/R/F1."""
     if len(preds) != len(golds):
         raise ConfigError(f"{len(preds)} predictions vs {len(golds)} gold vectors")
@@ -96,7 +97,7 @@ def compute_metrics(preds, golds, threshold=0.5):
     )
 
 
-def evaluate(model, data, cats, threshold=0.5):
+def evaluate(model, data, cats, threshold=DEFAULT_THRESHOLD):
     """Forward every query (no gradients) and score against gold labels.
 
     Queries run in batches of EVAL_CHUNK, so memory stays bounded however

@@ -75,26 +75,14 @@ class ModelConfig:
 
 def conv_stack_dims(config):
     """Spatial dims after each conv+pool block; raises if any collapses."""
-    h, w = config.l_q, config.l_c
-    kh, kw = config.conv_window
-    sh, sw = config.conv_stride
-    ph, pw = config.pool_window
-    qh, qw = config.pool_stride
-    dims = []
-    for block in range(config.conv_blocks):
-        if h < kh or w < kw:
-            raise ConfigError(
-                f"conv block {block + 1}: window {kh}x{kw} exceeds input {h}x{w}"
-            )
-        h = (h - kh) // sh + 1
-        w = (w - kw) // sw + 1
-        if h < ph or w < pw:
-            raise ConfigError(
-                f"pool in block {block + 1}: window {ph}x{pw} exceeds input {h}x{w}"
-            )
-        h = (h - ph) // qh + 1
-        w = (w - pw) // qw + 1
-        dims.append((h, w))
+    dims, size = [], (config.l_q, config.l_c)
+    for block in range(1, config.conv_blocks + 1):
+        try:
+            size = ad.window_grid(size, config.conv_window, config.conv_stride)
+            size = ad.window_grid(size, config.pool_window, config.pool_stride)
+        except ad.DimensionError as exc:
+            raise ConfigError(f"conv/pool block {block}: {exc}") from None
+        dims.append(size)
     return dims
 
 
@@ -241,7 +229,7 @@ def char_match(m, params, config):
     for kernels, bias in zip(params.conv_kernels, params.conv_biases):
         x = ad.conv2d(x, kernels, bias, stride=config.conv_stride)
         x = ad.relu(ad.maxpool2d(x, config.pool_window, config.pool_stride))
-    return ad.reshape(x, (*lead, flat_dim(config))) @ params.projection
+    return ad.reshape(x, (*lead, -1)) @ params.projection
 
 
 def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths):

@@ -11,11 +11,12 @@ the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, check_minimums
+from .model import ModelConfig
 from .textdata import (
     CategorySet,
     LabeledQuery,
@@ -39,9 +40,13 @@ def _char_pool(size):
     return pool[:size]
 
 
+# characters owned by each category (fewer when the vocab is too small)
+CORE_TOKENS_PER_CATEGORY = 4
+
+
 @dataclass
 class SyntheticConfig:
-    num_categories: int = 8
+    num_categories: int = field(default=8, metadata={"flag": "--categories"})
     vocab_size: int = 48
     queries_per_category: int = 300
     tail_exponent: float = 0.5
@@ -51,13 +56,12 @@ class SyntheticConfig:
     test_fraction: float = 1.0 / 6.0
     query_len_min: int = 4
     query_len_max: int = 10
-    core_tokens_per_category: int = 4
-    query_l_max: int = 16
+    query_l_max: int = ModelConfig.l_q
 
     def __post_init__(self):
         if self.num_categories < 2:
             raise ConfigError(f"need at least 2 categories, got {self.num_categories}")
-        if min(self.core_tokens_per_category, self.vocab_size // self.num_categories) < 2:
+        if min(CORE_TOKENS_PER_CATEGORY, self.vocab_size // self.num_categories) < 2:
             raise ConfigError(
                 f"vocab of {self.vocab_size} cannot give {self.num_categories} categories "
                 f">= 2 disjoint core tokens each"
@@ -98,7 +102,7 @@ def _category_counts(cfg):
 
 def generate_synthetic(cfg):
     """Build (vocab, categories, train, test) deterministically from cfg."""
-    core_size = min(cfg.core_tokens_per_category, cfg.vocab_size // cfg.num_categories)
+    core_size = min(CORE_TOKENS_PER_CATEGORY, cfg.vocab_size // cfg.num_categories)
     rng = np.random.default_rng(cfg.seed)
     pool = _char_pool(cfg.vocab_size)
     vocab = Vocab(pool)

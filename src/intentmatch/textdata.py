@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary, dataset file formats and label filtering.
+"""Tokenization, vocabulary, dataset file formats, atomic writes, label filtering.
 
 Tokenization is character level throughout: queries and category texts are
 split into single characters, so literal overlap between a query and a
@@ -14,7 +14,9 @@ File formats (UTF-8, LF line endings):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,12 +121,7 @@ def tokenize(text, vocab, l_max):
     """
     if l_max < 1:
         raise ConfigError(f"l_max must be >= 1, got {l_max}")
-    ids = [vocab.id_of(ch) for ch in text]
-    if not ids:
-        ids = [UNK_ID]
-    true_length = min(len(ids), l_max)
-    ids = ids[:l_max] + [PAD_ID] * (l_max - len(ids))
-    return TokenSequence(np.array(ids[:l_max], dtype=np.int64), true_length)
+    return _pad([vocab.id_of(ch) for ch in text] or [UNK_ID], l_max)
 
 
 def assemble_category_text(rec, l_max):
@@ -133,10 +130,13 @@ def assemble_category_text(rec, l_max):
     Truncation keeps the front of the concatenation, so the name always
     survives before product words are cut.
     """
-    ids = list(rec.name_tokens) + list(rec.product_word_tokens)
-    true_length = min(len(ids), l_max)
-    ids = ids[:l_max] + [PAD_ID] * (l_max - len(ids))
-    return TokenSequence(np.array(ids, dtype=np.int64), true_length)
+    return _pad([*rec.name_tokens, *rec.product_word_tokens], l_max)
+
+
+def _pad(ids, l_max):
+    """The first l_max of `ids`, PAD-filled to exactly l_max, as a TokenSequence."""
+    ids = ids[:l_max]
+    return TokenSequence(np.array(ids + [PAD_ID] * (l_max - len(ids)), dtype=np.int64), len(ids))
 
 
 def filter_labels_by_cdf(click_counts, threshold):
@@ -171,6 +171,32 @@ def filter_labels_by_cdf(click_counts, threshold):
 # file round trips
 
 
+@contextlib.contextmanager
+def atomic_output(path):
+    """Binary file object whose bytes replace `path` only when the block completes.
+
+    The bytes go to a temp file in the target's directory, which `os.replace`
+    renames over `path` on success and which is deleted on any failure, so
+    `path` holds either its old content or the complete new one.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def write_text(path, text):
+    """Write `text` to `path` as UTF-8 through `atomic_output`."""
+    with atomic_output(path) as f:
+        f.write(text.encode("utf-8"))
+
+
 def serialize_dataset(queries):
     lines = []
     for q in queries:
@@ -180,8 +206,7 @@ def serialize_dataset(queries):
 
 
 def save_dataset(path, queries):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(serialize_dataset(queries))
+    write_text(path, serialize_dataset(queries))
 
 
 def load_dataset(path, vocab, num_categories, l_max):
@@ -221,8 +246,7 @@ def serialize_categories(cats):
 
 
 def save_categories(path, cats):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(serialize_categories(cats))
+    write_text(path, serialize_categories(cats))
 
 
 def load_categories(path, vocab):
@@ -252,9 +276,7 @@ def make_category_record(vocab, category_id, name, product_words):
 
 
 def save_vocab(path, vocab):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for tok in vocab.tokens:
-            f.write(tok + "\n")
+    write_text(path, "".join(tok + "\n" for tok in vocab.tokens))
 
 
 def load_vocab(path):

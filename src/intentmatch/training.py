@@ -13,10 +13,8 @@ keys, no whitespace) makes save -> load -> save byte-identical.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -32,6 +30,7 @@ from .errors import (
     check_minimums,
 )
 from .model import Model, ModelConfig, multilabel_loss
+from .textdata import atomic_output
 
 CHECKPOINT_MAGIC = b"MMAN"
 CHECKPOINT_VERSION = 1
@@ -166,26 +165,6 @@ class LoadedCheckpoint:
     model: Model
     adam_state: AdamState | None
     extra: dict
-
-
-@contextlib.contextmanager
-def atomic_output(path):
-    """Binary file object whose bytes replace `path` only when the block completes.
-
-    The bytes go to a temp file in the target's directory, which `os.replace`
-    renames over `path` on success and which is deleted on any failure, so
-    `path` holds either its old content or the complete new one.
-    """
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
 
 
 def _write_tensor(f, arr):

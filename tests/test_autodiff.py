@@ -376,7 +376,7 @@ class TestBatchInnermostConvPool:
     def test_3d_input_rejected(self):
         x = ad.Tensor(np.zeros((2, 6, 7)))
         with pytest.raises(ad.DimensionError, match=r"4D \[N,C,H,W\]"):
-            ad.conv2d(x, ad.Tensor(np.zeros((3, 2, 3, 2))), None)
+            ad.conv2d(x, ad.Tensor(np.zeros((3, 2, 3, 2))), ad.Tensor(np.zeros(3)))
         with pytest.raises(ad.DimensionError, match=r"4D \[N,C,H,W\]"):
             ad.maxpool2d(x, (2, 2), (2, 2))
 
@@ -386,9 +386,9 @@ class TestBatchInnermostConvPool:
         k1 = ad.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         k2 = ad.Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
         with ad.Tape():
-            c1 = ad.conv2d(x, k1, None)
+            c1 = ad.conv2d(x, k1, ad.Tensor(np.zeros(2)))
             r1 = ad.relu(ad.maxpool2d(c1, (2, 2), (2, 2)))
-            c2 = ad.conv2d(r1, k2, None)
+            c2 = ad.conv2d(r1, k2, ad.Tensor(np.zeros(3)))
         for t in (c1, r1, c2):
             assert t.data.transpose(1, 2, 3, 0).flags.c_contiguous
 

@@ -95,6 +95,18 @@ class TestGen:
         assert '"num_categories": 3' in sidecar
         assert '"seed": 7' in sidecar
 
+    def test_failed_write_keeps_the_old_files_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        out = gen(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            main(["gen", "--out-dir", str(out), *TINY_GEN, "--seed", "8"])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestTrain:
     def test_loss_log_exactly_epochs_lines(self, tmp_path, capsys):
@@ -145,6 +157,12 @@ TRAIN_FLAG_DEFAULTS = {
     "lr": 5e-5, "batch_size": 32, "epochs": 10, "seed": 42,
 }
 
+GEN_FLAG_DEFAULTS = {
+    "num_categories": 8, "vocab_size": 48, "queries_per_category": 300,
+    "tail_exponent": 0.5, "multi_label_fraction": 0.15, "noise": 0.05,
+    "test_fraction": 1.0 / 6.0, "query_len_min": 4, "query_len_max": 10, "seed": 42,
+}
+
 TRAIN_REQUIRED = [
     "--train-file", "t.tsv", "--categories-file", "c.tsv", "--vocab-file", "v.txt",
     "--checkpoint-out", "m.ckpt", "--loss-log", "l.tsv",
@@ -191,6 +209,19 @@ class TestTrainFlags:
         assert "lr" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestGenFlags:
+    def test_defaults(self):
+        args = vars(make_parser().parse_args(["gen", "--out-dir", "d"]))
+        required = {"command", "out_dir"}
+        assert {k: v for k, v in args.items() if k not in required} == GEN_FLAG_DEFAULTS
+
+    @pytest.mark.parametrize("flag", ["--query-l-max", "--core-tokens-per-category"])
+    def test_rejected_by_argparse(self, flag):
+        with pytest.raises(SystemExit) as info:
+            make_parser().parse_args(["gen", "--out-dir", "d", flag, "8"])
+        assert info.value.code == 2
 
 
 # (command, flags, a word the error line must contain)
@@ -260,6 +291,44 @@ class TestNonFiniteTraining:
         assert "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
         assert not (tmp_path / "l.tsv").exists()
+
+
+class TestExitCodes:
+    """The rows of `cli._EXIT_CODES` that no other test ends in."""
+
+    def run(self, capsys, argv):
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return rc, err
+
+    def test_missing_input_file_exits_2_naming_it(self, tmp_path, capsys, tiny_data):
+        argv = train_argv(tiny_data, tmp_path)
+        argv[argv.index("--vocab-file") + 1] = str(tmp_path / "ghost.txt")
+        rc, err = self.run(capsys, argv)
+        assert rc == 2 and "ghost.txt" in err
+
+    def test_malformed_dataset_exits_2_naming_the_line(self, tmp_path, capsys, tiny_data):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("abc\t0\nno tab here\n", encoding="utf-8")
+        argv = train_argv(tiny_data, tmp_path)
+        argv[argv.index("--train-file") + 1] = str(bad)
+        rc, err = self.run(capsys, argv)
+        assert rc == 2 and "bad.tsv:2" in err
+
+    def test_out_of_vocab_token_id_exits_2(self, tmp_path, capsys, tiny_data, monkeypatch):
+        """No file can hold such an id, so the loaded dataset is altered."""
+
+        def load_with_bad_id(*args, **kwargs):
+            data = load_dataset(*args, **kwargs)
+            data[0].query.ids[0] = 10_000
+            return data
+
+        monkeypatch.setattr(cli, "load_dataset", load_with_bad_id)
+        rc, err = self.run(capsys, [*train_argv(tiny_data, tmp_path), *TINY_MODEL])
+        assert rc == 2 and "10000" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestEval:

@@ -228,6 +228,23 @@ class TestCharMatch:
         with pytest.raises(ConfigError, match="block 2"):
             conv_stack_dims(ModelConfig(vocab_size=8, num_categories=2, l_q=8, l_c=8))
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: ad.conv2d(ad.Tensor(np.zeros((1, 1, 2, 5))), ad.Tensor(np.zeros((1, 1, 3, 3))),
+                           ad.Tensor(np.zeros(1))),
+         ad.DimensionError, "window 3x3 exceeds input 2x5; pad"),
+        (lambda: ad.maxpool2d(ad.Tensor(np.zeros((1, 1, 5, 1))), (2, 2), (2, 2)),
+         ad.DimensionError, "window 2x2 exceeds input 5x1; pad"),
+        (lambda: conv_stack_dims(ModelConfig(vocab_size=8, num_categories=2, l_q=2)),
+         ConfigError, "block 1: window 3x3 exceeds input 2x32"),
+        (lambda: conv_stack_dims(ModelConfig(vocab_size=8, num_categories=2, l_q=4, l_c=8)),
+         ConfigError, "block 2: window 3x3 exceeds input 1x3"),
+        (lambda: conv_stack_dims(ModelConfig(vocab_size=8, num_categories=2, l_q=8, l_c=8)),
+         ConfigError, "block 2: window 2x2 exceeds input 1x1"),
+    ], ids=["conv2d", "maxpool2d", "block-1-conv", "block-2-conv", "block-2-pool"])
+    def test_window_exceeding_its_input(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
 
 class TestSemanticMatch:
     def test_constant_category_rows_mean_to_that_row(self):
