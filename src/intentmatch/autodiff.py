@@ -6,7 +6,8 @@ A :class:`Tensor` wraps a numpy float64 array: row-major, except that
 While a :class:`Tape` is active (``with Tape() as tape:``), every operation
 whose inputs participate in the gradient graph appends one node;
 ``backward`` replays the tape in reverse and accumulates ``dLoss/dX`` into
-``.grad`` buffers.
+``.grad`` buffers.  A :class:`Params` collects a model's trainable tensors
+under their names, in the order they are created.
 
 Gradient accumulation rules:
 
@@ -124,6 +125,25 @@ def parameter(rng, shape, fan_in):
     """Trainable tensor, uniform in [-sqrt(1/fan_in), +sqrt(1/fan_in)]."""
     bound = float(np.sqrt(1.0 / fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+class Params:
+    """Named trainable tensors, each registered where it is created, in declaration order."""
+
+    def __init__(self):
+        self._named = []
+
+    def add(self, name, value):
+        """Register a tensor, or a group's tensors as name.<its name>; return `value`."""
+        if isinstance(value, Params):
+            self._named.extend((f"{name}.{n}", t) for n, t in value.parameters())
+        else:
+            self._named.append((name, value))
+        return value
+
+    def parameters(self):
+        """Every registered tensor as (name, tensor), in declaration order."""
+        return list(self._named)
 
 
 def _record(out, inputs, backward_fn):

@@ -187,30 +187,14 @@ def _config_header_lines(extra, threshold):
 
 
 def cmd_eval(args):
+    if args.ablation and not (args.train_file and args.ablation_out):
+        raise ConfigError("--ablation requires --train-file and --ablation-out")
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
     model = loaded.model
-    data = load_dataset(args.data_file, vocab, len(cats), l_max=model.config.l_q)
-    report = evaluate(model, data, cats, threshold=args.threshold)
-
-    header = _config_header_lines(loaded.extra, args.threshold)
-    text = "".join(h + "\n" for h in header) + "\n" + render_text_report(report)
-    write_text(args.report_out, text)
-
-    records = render_records(report)
     run_cfg = loaded.extra.get("run_config", {})
-    run_rows = "".join(
-        f"run\t-\t{k}\t{run_cfg[k]}\n" for k in sorted(run_cfg)
-    )
-    write_text(args.records_out, run_rows + records)
-    print(render_text_report(report), end="")
-
     if args.ablation:
-        if not args.train_file or not args.ablation_out:
-            raise ConfigError("--ablation requires --train-file and --ablation-out")
-        train_data = load_dataset(args.train_file, vocab, len(cats), l_max=model.config.l_q)
-        base = dataclasses.replace(model.config, variant="full")
         # retrain with the settings the checkpoint was built with; keys that
         # are not TrainConfig fields (older checkpoints carry some) are ignored
         try:
@@ -220,7 +204,24 @@ def cmd_eval(args):
             })
         except (TypeError, ValueError) as exc:
             raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
-        results = run_ablation_suite(train_data, data, cats, base, tc, model_seed=tc.seed)
+        train_data = load_dataset(args.train_file, vocab, len(cats), l_max=model.config.l_q)
+    data = load_dataset(args.data_file, vocab, len(cats), l_max=model.config.l_q)
+    report = evaluate(model, data, cats, threshold=args.threshold)
+
+    header = _config_header_lines(loaded.extra, args.threshold)
+    text = "".join(h + "\n" for h in header) + "\n" + render_text_report(report)
+    write_text(args.report_out, text)
+
+    records = render_records(report)
+    run_rows = "".join(
+        f"run\t-\t{k}\t{run_cfg[k]}\n" for k in sorted(run_cfg)
+    )
+    write_text(args.records_out, run_rows + records)
+    print(render_text_report(report), end="")
+
+    if args.ablation:
+        base = dataclasses.replace(model.config, variant="full")
+        results = run_ablation_suite(train_data, data, cats, base, tc, tc.seed, args.threshold)
         table = "".join(h + "\n" for h in header) + "\n" + render_ablation_table(results)
         write_text(args.ablation_out, table)
         print(render_ablation_table(results), end="")

@@ -25,22 +25,17 @@ def _zeros(shape):
     return t
 
 
-class EncoderParams:
+class EncoderParams(ad.Params):
     """All encoder weights, registered in a fixed declaration order."""
 
     def __init__(self, config, rng):
         """Weights for a ModelConfig: max(l_q, l_c) positions, FFN width encoder_ffn or 4*d."""
+        super().__init__()
         d = config.d
         ffn = config.encoder_ffn or 4 * d
         self.num_heads = config.encoder_heads
-        self._registry = []
-
-        def reg(name, tensor):
-            self._registry.append((name, tensor))
-            return tensor
-
-        self.tok_emb = reg("tok_emb", ad.parameter(rng, (config.vocab_size, d), d))
-        self.pos_emb = reg("pos_emb", ad.parameter(rng, (max(config.l_q, config.l_c), d), d))
+        self.tok_emb = self.add("tok_emb", ad.parameter(rng, (config.vocab_size, d), d))
+        self.pos_emb = self.add("pos_emb", ad.parameter(rng, (max(config.l_q, config.l_c), d), d))
         self.layers = []
         for i in range(config.encoder_layers):
             layer = {
@@ -58,11 +53,8 @@ class EncoderParams:
                 "ln2_b": _zeros(d),
             }
             for key, tensor in layer.items():
-                reg(f"layer{i}.{key}", tensor)
+                self.add(f"layer{i}.{key}", tensor)
             self.layers.append(layer)
-
-    def parameters(self):
-        return list(self._registry)
 
 
 def layer_norm(x, gamma, beta, eps=LAYERNORM_EPS):

@@ -165,8 +165,9 @@ def render_records(report):
 # ablation harness
 
 
-def run_ablation_suite(train_data, test_data, cats, base_config, train_config, model_seed):
-    """Train and evaluate the full model and all three ablations.
+def run_ablation_suite(train_data, test_data, cats, base_config, train_config, model_seed,
+                       threshold=DEFAULT_THRESHOLD):
+    """Train the full model and all three ablations; evaluate each at `threshold`.
 
     Every variant gets a fresh seeded generator and identical data/config,
     so the full-model row is bit-for-bit the standalone full-model run.
@@ -176,7 +177,7 @@ def run_ablation_suite(train_data, test_data, cats, base_config, train_config, m
         config = dataclasses.replace(base_config, variant=variant)
         model = Model(config, np.random.default_rng(model_seed))
         history, _ = train(model, train_data, cats, train_config)
-        report = evaluate(model, test_data, cats)
+        report = evaluate(model, test_data, cats, threshold)
         results.append((variant, report, history))
     return results
 
@@ -188,8 +189,7 @@ def render_ablation_table(results):
     )
     lines = [header]
     for variant, report, _ in results:
-        label = {"full": "full", "no_self": "w/o self", "no_char": "w/o char",
-                 "no_semantic": "w/o semantic"}[variant]
+        label = variant.replace("no_", "w/o ")
         lines.append(
             f"{label:<14}{report.micro_precision:>10.4f}{report.micro_recall:>10.4f}"
             f"{report.micro_f1:>10.4f}{report.macro_precision:>10.4f}"

@@ -91,55 +91,44 @@ def flat_dim(config):
     return config.conv_filters * h * w
 
 
-class SelfMatchParams:
+class SelfMatchParams(ad.Params):
     """Attention pooling weights: score each query token against itself."""
 
     def __init__(self, d, rng):
-        self.w_q = ad.parameter(rng, (d, d), d)
-        self.v = ad.parameter(rng, (1, d), d)
-
-    def parameters(self):
-        return [("w_q", self.w_q), ("v", self.v)]
+        super().__init__()
+        self.w_q = self.add("w_q", ad.parameter(rng, (d, d), d))
+        self.v = self.add("v", ad.parameter(rng, (1, d), d))
 
 
-class CharMatchParams:
+class CharMatchParams(ad.Params):
     """Bilinear map plus the shared conv/pool stack and flat projection."""
 
     def __init__(self, config, rng):
+        super().__init__()
         d = config.d
         f = config.conv_filters
         kh, kw = config.conv_window
-        self.w_qc = ad.parameter(rng, (d, d), d)
+        self.w_qc = self.add("w_qc", ad.parameter(rng, (d, d), d))
         self.conv_kernels = []
         self.conv_biases = []
         in_ch = 1
-        for _ in range(config.conv_blocks):
-            self.conv_kernels.append(
-                ad.parameter(rng, (f, in_ch, kh, kw), in_ch * kh * kw)
-            )
-            self.conv_biases.append(ad.Tensor(np.zeros(f), requires_grad=True))
+        for i in range(config.conv_blocks):
+            kernels = ad.parameter(rng, (f, in_ch, kh, kw), in_ch * kh * kw)
+            self.conv_kernels.append(self.add(f"conv{i}_kernels", kernels))
+            bias = ad.Tensor(np.zeros(f), requires_grad=True)
+            self.conv_biases.append(self.add(f"conv{i}_bias", bias))
             in_ch = f
         flat = flat_dim(config)
-        self.projection = ad.parameter(rng, (flat, d), flat)
-
-    def parameters(self):
-        out = [("w_qc", self.w_qc)]
-        for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases)):
-            out.append((f"conv{i}_kernels", k))
-            out.append((f"conv{i}_bias", b))
-        out.append(("projection", self.projection))
-        return out
+        self.projection = self.add("projection", ad.parameter(rng, (flat, d), flat))
 
 
-class SemanticMatchParams:
+class SemanticMatchParams(ad.Params):
     def __init__(self, d, rng):
-        self.w_qs = ad.parameter(rng, (d, d), d)
-
-    def parameters(self):
-        return [("w_qs", self.w_qs)]
+        super().__init__()
+        self.w_qs = self.add("w_qs", ad.parameter(rng, (d, d), d))
 
 
-class FusionParams:
+class FusionParams(ad.Params):
     """Final head: mix the pooled query with matching features.
 
     z_width is 2d for the full model, d when one matching branch is
@@ -147,28 +136,20 @@ class FusionParams:
     """
 
     def __init__(self, d, num_categories, variant, rng):
+        super().__init__()
         n = num_categories
-        self.variant = variant
         self.w_qf = None
         if variant != "no_self":
-            self.w_qf = ad.parameter(rng, (d, n), d)
+            self.w_qf = self.add("w_qf", ad.parameter(rng, (d, n), d))
         z_width = 2 * d if variant in ("full", "no_self") else d
-        self.w_z = ad.parameter(rng, (z_width, 1), z_width)
+        self.w_z = self.add("w_z", ad.parameter(rng, (z_width, 1), z_width))
         # w_x starts at zero, not random: the head has no bias and ReLU is a
         # one-way gate, so a random mixer turns the early shrink-the-noise
         # gradient into a push that drives every pre-activation negative and
         # freezes the whole network. Zero w_x means zero logits at step one;
         # the mixer organizes against the (frozen) match features first and
         # only then feeds label-correlated gradient back through the gate.
-        self.w_x = ad.Tensor(np.zeros((n, n)), requires_grad=True)
-
-    def parameters(self):
-        out = []
-        if self.w_qf is not None:
-            out.append(("w_qf", self.w_qf))
-        out.append(("w_z", self.w_z))
-        out.append(("w_x", self.w_x))
-        return out
+        self.w_x = self.add("w_x", ad.Tensor(np.zeros((n, n)), requires_grad=True))
 
 
 @dataclass
@@ -276,39 +257,23 @@ def multilabel_loss(logits, labels):
     return ad.reduce_sum(ad.softplus(logits) - logits * y)
 
 
-class Model:
+class Model(ad.Params):
     """Bundles every trainable tensor with the forward composition."""
 
     def __init__(self, config, rng):
+        super().__init__()
         self.config = config
         flat_dim(config)  # validate conv arithmetic before allocating
-        self.encoder = EncoderParams(config, rng)
-        self.self_params = None
-        self.char_params = None
-        self.semantic_params = None
+        self.encoder = self.add("encoder", EncoderParams(config, rng))
+        self.self_params = self.char_params = self.semantic_params = None
         if config.variant != "no_self":
-            self.self_params = SelfMatchParams(config.d, rng)
+            self.self_params = self.add("self_match", SelfMatchParams(config.d, rng))
         if config.variant != "no_char":
-            self.char_params = CharMatchParams(config, rng)
+            self.char_params = self.add("char_match", CharMatchParams(config, rng))
         if config.variant != "no_semantic":
-            self.semantic_params = SemanticMatchParams(config.d, rng)
-        self.fusion = FusionParams(config.d, config.num_categories, config.variant, rng)
-
-    def parameters(self):
-        """All trainable tensors as (name, tensor), declaration order."""
-        out = [(f"encoder.{n}", t) for n, t in self.encoder.parameters()]
-        for prefix, group in (
-            ("self_match", self.self_params),
-            ("char_match", self.char_params),
-            ("semantic_match", self.semantic_params),
-            ("fusion", self.fusion),
-        ):
-            if group is not None:
-                out.extend((f"{prefix}.{n}", t) for n, t in group.parameters())
-        return out
-
-    def num_parameters(self):
-        return sum(t.size for _, t in self.parameters())
+            self.semantic_params = self.add("semantic_match", SemanticMatchParams(config.d, rng))
+        fusion = FusionParams(config.d, config.num_categories, config.variant, rng)
+        self.fusion = self.add("fusion", fusion)
 
     def encode_categories(self, cats):
         """Encode every category text in one batched `encode` call."""

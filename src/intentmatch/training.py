@@ -5,7 +5,7 @@ Checkpoint format (little-endian throughout):
     magic b"MMAN" | u32 version | u32 json_len | canonical JSON config
     | per tensor: u64 byte_len | raw f64 payload
 
-Tensors appear in the model's parameter declaration order; if optimizer
+Tensors appear in `model.parameters()` order (see `ad.Params`); if optimizer
 state is included, each parameter's first- and second-moment buffers
 follow the parameter payloads in the same order.  Canonical JSON (sorted
 keys, no whitespace) makes save -> load -> save byte-identical.
@@ -173,23 +173,25 @@ def _write_tensor(f, arr):
     f.write(payload)
 
 
+# the AdamState fields a checkpoint's "optimizer" block holds
+_ADAM_HEADER = ("lr", "beta1", "beta2", "eps", "step")
+
+
+def _manifest(named):
+    """The header's "params" block: [name, shape] per tensor, in declaration order."""
+    return [[name, list(t.shape)] for name, t in named]
+
+
 def save_checkpoint(path, model, vocab, cats, adam_state=None, extra=None):
-    manifest = [[name, list(t.shape)] for name, t in model.parameters()]
+    named = model.parameters()
     header = {
         "model": asdict(model.config),
         "vocab_sha256": vocab.fingerprint(),
         "categories_sha256": cats.fingerprint(),
-        "params": manifest,
+        "params": _manifest(named),
         "optimizer": None
         if adam_state is None
-        else {
-            "algo": "adam",
-            "lr": adam_state.lr,
-            "beta1": adam_state.beta1,
-            "beta2": adam_state.beta2,
-            "eps": adam_state.eps,
-            "step": adam_state.step,
-        },
+        else {"algo": "adam", **{key: getattr(adam_state, key) for key in _ADAM_HEADER}},
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -198,10 +200,10 @@ def save_checkpoint(path, model, vocab, cats, adam_state=None, extra=None):
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for _, tensor in model.parameters():
+        for _, tensor in named:
             _write_tensor(f, tensor.data)
         if adam_state is not None:
-            for name, _ in model.parameters():
+            for name, _ in named:
                 _write_tensor(f, adam_state.m[name])
                 _write_tensor(f, adam_state.v[name])
 
@@ -290,22 +292,21 @@ def load_checkpoint(path, vocab, cats):
         model = Model(ModelConfig(**model_cfg), np.random.default_rng(0))
     except (TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f'{path}: bad "model" block: {exc}') from exc
-    manifest = [[name, list(t.shape)] for name, t in model.parameters()]
-    if manifest != _header_value(path, header, "params"):
+    named = model.parameters()
+    if _manifest(named) != _header_value(path, header, "params"):
         raise CorruptCheckpointError(
             f"{path}: parameter manifest does not match the stored config"
         )
-    for name, tensor in model.parameters():
+    for name, tensor in named:
         tensor.data[...] = r.tensor(tensor.shape, name)
 
     adam_state = None
     opt = _header_value(path, header, "optimizer")
     if opt is not None:
         adam_state = AdamState(**{
-            key: _header_value(path, opt, key, '"optimizer" block')
-            for key in ("lr", "beta1", "beta2", "eps", "step")
+            key: _header_value(path, opt, key, '"optimizer" block') for key in _ADAM_HEADER
         })
-        for name, tensor in model.parameters():
+        for name, tensor in named:
             adam_state.m[name] = r.tensor(tensor.shape, f"adam m[{name}]")
             adam_state.v[name] = r.tensor(tensor.shape, f"adam v[{name}]")
     if r.pos != len(raw):

@@ -572,3 +572,27 @@ class TestDeterminism:
         np.testing.assert_array_equal(p1.data, p2.data)
         bound = np.sqrt(1.0 / 20)
         assert np.all(np.abs(p1.data) <= bound)
+
+
+class TestParams:
+    def test_add_returns_value_and_keeps_declaration_order(self):
+        class Inner(ad.Params):
+            def __init__(self):
+                super().__init__()
+                self.a = self.add("a", ad.Tensor(np.zeros(2), requires_grad=True))
+                self.b = self.add("b", ad.Tensor(np.zeros(3), requires_grad=True))
+
+        class Outer(ad.Params):
+            def __init__(self):
+                super().__init__()
+                self.w = self.add("w", ad.Tensor(np.zeros(1), requires_grad=True))
+                self.inner = self.add("inner", Inner())
+                self.z = self.add("z", ad.Tensor(np.zeros(4), requires_grad=True))
+
+        outer = Outer()
+        named = outer.parameters()
+        assert [n for n, _ in named] == ["w", "inner.a", "inner.b", "z"]
+        assert [t for _, t in named] == [outer.w, outer.inner.a, outer.inner.b, outer.z]
+        assert [n for n, _ in outer.inner.parameters()] == ["a", "b"]
+        named.clear()  # callers get a copy, not the registry itself
+        assert len(outer.parameters()) == 4

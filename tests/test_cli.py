@@ -398,6 +398,33 @@ class TestEval:
         for row in ("full", "w/o self", "w/o char", "w/o semantic"):
             assert row in table
 
+    def test_ablation_table_scores_at_the_threshold_flag(self, tmp_path):
+        """The full row retrains the checkpoint's own run, so it repeats the report."""
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        table_path = tmp_path / "ablation.txt"
+        rc, _, records = self.run_eval(
+            tmp_path, data, ckpt,
+            extra=["--threshold", "0.05", "--ablation", "--train-file",
+                   str(data / "train.tsv"), "--ablation-out", str(table_path)],
+        )
+        assert rc == 0
+        values = {
+            (scope, metric): float(value)
+            for scope, _, metric, value in (
+                line.split("\t") for line in records.read_text().splitlines()
+            )
+            if scope in ("micro", "macro")
+        }
+        want = [
+            f"{values[scope, metric]:.4f}"
+            for scope in ("micro", "macro") for metric in ("precision", "recall", "f1")
+        ]
+        table = table_path.read_text()
+        assert "eval threshold: 0.05" in table
+        full_row = next(line for line in table.splitlines() if line.startswith("full "))
+        assert full_row.split()[1:] == want
+
     def test_checkpoint_from_before_the_config_change(self, tmp_path):
         """run_config once also carried `workers` and `threshold`."""
         data = gen(tmp_path)
@@ -444,6 +471,8 @@ class TestEval:
         )
         assert rc == 3
         assert "run_config" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+        assert not (tmp_path / "records.tsv").exists()
 
     def test_run_config_not_an_object_exits_3_in_eval_and_predict(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -471,9 +500,10 @@ class TestEval:
     def test_ablation_without_train_file_is_an_error(self, tmp_path, capsys):
         data = gen(tmp_path)
         ckpt, _ = train(tmp_path, data)
-        rc, _, _ = self.run_eval(tmp_path, data, ckpt, extra=["--ablation"])
-        assert rc != 0
+        rc, report, records = self.run_eval(tmp_path, data, ckpt, extra=["--ablation"])
+        assert rc == 2
         assert "--train-file" in capsys.readouterr().err
+        assert not report.exists() and not records.exists()
 
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         data = gen(tmp_path)

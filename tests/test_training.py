@@ -269,7 +269,98 @@ MALFORMED_HEADERS = {
 }
 
 
+# [name, shape] of every tensor, in checkpoint order, at MANIFEST_CONFIG; the
+# vocab is the 26 tokens of tiny_setup's data and conv_blocks=2 pins the
+# kernel/bias interleave
+MANIFEST_CONFIG = dict(
+    vocab_size=26, num_categories=3, d=4, l_q=12, l_c=12, encoder_layers=1,
+    encoder_heads=2, encoder_ffn=6, conv_filters=2, conv_blocks=2,
+)
+ENCODER_MANIFEST = [
+    ["encoder.tok_emb", [26, 4]],
+    ["encoder.pos_emb", [12, 4]],
+    ["encoder.layer0.w_q", [4, 4]],
+    ["encoder.layer0.w_k", [4, 4]],
+    ["encoder.layer0.w_v", [4, 4]],
+    ["encoder.layer0.w_o", [4, 4]],
+    ["encoder.layer0.ln1_g", [4]],
+    ["encoder.layer0.ln1_b", [4]],
+    ["encoder.layer0.ffn_w1", [4, 6]],
+    ["encoder.layer0.ffn_b1", [6]],
+    ["encoder.layer0.ffn_w2", [6, 4]],
+    ["encoder.layer0.ffn_b2", [4]],
+    ["encoder.layer0.ln2_g", [4]],
+    ["encoder.layer0.ln2_b", [4]],
+]
+MANIFESTS = {
+    "full": ENCODER_MANIFEST + [
+        ["self_match.w_q", [4, 4]],
+        ["self_match.v", [1, 4]],
+        ["char_match.w_qc", [4, 4]],
+        ["char_match.conv0_kernels", [2, 1, 3, 3]],
+        ["char_match.conv0_bias", [2]],
+        ["char_match.conv1_kernels", [2, 2, 3, 3]],
+        ["char_match.conv1_bias", [2]],
+        ["char_match.projection", [2, 4]],
+        ["semantic_match.w_qs", [4, 4]],
+        ["fusion.w_qf", [4, 3]],
+        ["fusion.w_z", [8, 1]],
+        ["fusion.w_x", [3, 3]],
+    ],
+    "no_self": ENCODER_MANIFEST + [
+        ["char_match.w_qc", [4, 4]],
+        ["char_match.conv0_kernels", [2, 1, 3, 3]],
+        ["char_match.conv0_bias", [2]],
+        ["char_match.conv1_kernels", [2, 2, 3, 3]],
+        ["char_match.conv1_bias", [2]],
+        ["char_match.projection", [2, 4]],
+        ["semantic_match.w_qs", [4, 4]],
+        ["fusion.w_z", [8, 1]],
+        ["fusion.w_x", [3, 3]],
+    ],
+    "no_char": ENCODER_MANIFEST + [
+        ["self_match.w_q", [4, 4]],
+        ["self_match.v", [1, 4]],
+        ["semantic_match.w_qs", [4, 4]],
+        ["fusion.w_qf", [4, 3]],
+        ["fusion.w_z", [4, 1]],
+        ["fusion.w_x", [3, 3]],
+    ],
+    "no_semantic": ENCODER_MANIFEST + [
+        ["self_match.w_q", [4, 4]],
+        ["self_match.v", [1, 4]],
+        ["char_match.w_qc", [4, 4]],
+        ["char_match.conv0_kernels", [2, 1, 3, 3]],
+        ["char_match.conv0_bias", [2]],
+        ["char_match.conv1_kernels", [2, 2, 3, 3]],
+        ["char_match.conv1_bias", [2]],
+        ["char_match.projection", [2, 4]],
+        ["fusion.w_qf", [4, 3]],
+        ["fusion.w_z", [4, 1]],
+        ["fusion.w_x", [3, 3]],
+    ],
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_manifest_and_payload_order_are_fixed(self, tmp_path, variant):
+        _, data = tiny_setup()
+        model = Model(ModelConfig(**MANIFEST_CONFIG, variant=variant), np.random.default_rng(0))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, data.vocab, data.categories)
+        raw = path.read_bytes()
+        blob_len = int.from_bytes(raw[8:12], "little")
+        assert json.loads(raw[12 : 12 + blob_len])["params"] == MANIFESTS[variant]
+        tensors = dict(model.parameters())
+        pos = 12 + blob_len
+        for name, shape in MANIFESTS[variant]:
+            nbytes = int.from_bytes(raw[pos : pos + 8], "little")
+            payload = np.frombuffer(raw[pos + 8 : pos + 8 + nbytes], dtype="<f8")
+            assert np.array_equal(payload.reshape(shape), tensors[name].data), name
+            pos += 8 + nbytes
+        assert pos == len(raw)
+
     def probe_logits(self, model, data):
         return model.forward_with_categories(data.train[0].query, data.categories).data
 
