@@ -338,6 +338,18 @@ def concat(tensors, axis=0):
     return _record(out, tuple(tensors), bw)
 
 
+def slice_rows(a, lo, hi):
+    """Rows lo:hi of `a` along axis 0, as a view; backward adds into that row range."""
+    out = Tensor(a.data[lo:hi])
+
+    def bw(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[lo:hi] += g
+
+    return _record(out, (a,), bw)
+
+
 def embedding(table, ids):
     """Gather rows of `table` by integer ids; backward scatter-adds rows."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -413,11 +425,18 @@ def softmax(a, axis, mask=None):
         raise DimensionError(f"softmax axis {axis} out of range for shape {a.shape}")
     z = a.data
     if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        z = np.where(m, z, -np.inf)
-    mx = np.max(z, axis=axis, keepdims=True)
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
+        mx = np.max(np.where(mask, z, -np.inf), axis=axis, keepdims=True)
+    else:
+        mx = np.max(z, axis=axis, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.exp(z - mx)
+    # exp of the raw scores, not of -inf fills, on which numpy's exp runs
+    # about 3x slower; a masked score may exceed mx and overflow to inf,
+    # which the mask then zeroes like any other value there
+    with np.errstate(over="ignore"):
+        e = np.exp(z - mx)
+    if mask is not None:
+        e = np.where(mask, e, 0.0)
     s = e.sum(axis=axis, keepdims=True)
     out = Tensor(e / np.where(s == 0.0, 1.0, s))
 
@@ -491,11 +510,6 @@ def _from_batch_innermost(buf):
     return buf.transpose(3, 0, 1, 2)
 
 
-# Upper bound, in elements, on the column matrix one conv2d product
-# gathers; larger batches are processed in slices along N.
-_COLUMN_ELEMS = 1 << 20
-
-
 def conv2d(x, kernels, bias, stride=(1, 1)):
     """Valid cross-correlation (no kernel flip, no zero padding).
 
@@ -506,9 +520,9 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
     memory layout, so every slice copy and strided add covers contiguous
     runs of N.  The input is brought to that layout once (free when it
     already has it) and the output is the [N,C_out,ho,wo] view of a
-    [C_out,ho,wo,N] buffer.  Each product is one matmul against window
-    columns [C_in*kh*kw, ho*wo*n] built for a slice of n maps at a time and
-    rebuilt in backward rather than kept.
+    [C_out,ho,wo,N] buffer.  The product is one matmul against window
+    columns [C_in*kh*kw, ho*wo*N], rebuilt in backward rather than kept;
+    their size grows with N, so callers bound it by passing tiles of maps.
     """
     _require_4d("conv2d", x)
     xd, kd = x.data, kernels.data
@@ -520,22 +534,17 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
         raise DimensionError(f"conv2d channel mismatch: input has {cin}, kernels expect {kcin}")
     grid = ho, wo = window_grid((h, w), (kh, kw), stride)
     xt = _batch_innermost(xd)  # [cin, h, w, n]
-    step = max(1, _COLUMN_ELEMS // (cin * kh * kw * ho * wo))
-    slices = [slice(s, s + step) for s in range(0, n, step)]
     k_rows = kd.reshape(cout, cin * kh * kw)
 
-    def columns(sl):
-        """[cin*kh*kw, ho*wo*n] window columns of the maps in slice sl."""
-        xs = xt[..., sl]
-        cols = np.empty((cin, kh, kw, ho, wo, xs.shape[-1]))
+    def columns():
+        """[cin*kh*kw, ho*wo*n] window columns of every map."""
+        cols = np.empty((cin, kh, kw, ho, wo, n))
         for a in range(kh):
             for b in range(kw):
-                cols[:, a, b] = xs[_tap(a, b, grid, stride)]
+                cols[:, a, b] = xt[_tap(a, b, grid, stride)]
         return cols.reshape(cin * kh * kw, -1)
 
-    out_t = np.empty((cout, ho, wo, n))
-    for sl in slices:
-        out_t[..., sl] = (k_rows @ columns(sl)).reshape(cout, ho, wo, -1)
+    out_t = (k_rows @ columns()).reshape(cout, ho, wo, n)
     out_t += bias.data[:, None, None, None]
     out = Tensor(_from_batch_innermost(out_t))
 
@@ -543,19 +552,16 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
         gt = _batch_innermost(g)  # [cout, ho, wo, n]
         if bias.requires_grad:
             _accumulate(bias, gt.sum(axis=(1, 2, 3)))
-        gxt = np.zeros_like(xt) if x.requires_grad else None
-        for sl in slices:
-            g_rows = gt[..., sl].reshape(cout, -1)  # [cout, ho*wo*n]
-            if kernels.requires_grad:
-                _accumulate(kernels, (g_rows @ columns(sl).T).reshape(kd.shape))
-            if gxt is not None:
-                # g_cols[c,a,b,i,j,m] = sum_o k[o,c,a,b] * g[o,i,j,m]
-                g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, ho, wo, -1)
-                gx_sl = gxt[..., sl]
-                for a in range(kh):
-                    for b in range(kw):
-                        gx_sl[_tap(a, b, grid, stride)] += g_cols[:, a, b]
-        if gxt is not None:
+        g_rows = gt.reshape(cout, -1)  # [cout, ho*wo*n]
+        if kernels.requires_grad:
+            _accumulate(kernels, (g_rows @ columns().T).reshape(kd.shape))
+        if x.requires_grad:
+            # g_cols[c,a,b,i,j,m] = sum_o k[o,c,a,b] * g[o,i,j,m]
+            g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, ho, wo, n)
+            gxt = np.zeros_like(xt)
+            for a in range(kh):
+                for b in range(kw):
+                    gxt[_tap(a, b, grid, stride)] += g_cols[:, a, b]
             _accumulate(x, _from_batch_innermost(gxt))
 
     return _record(out, (x, kernels, bias), bw)
@@ -582,6 +588,7 @@ def maxpool2d(x, window, stride):
         """Slices picking, for every window, its element at row-major offset k."""
         return _tap(*divmod(k, pw), grid, stride)
 
+    disjoint = stride[0] >= ph and stride[1] >= pw
     out_t = xt[offset(0)].copy(order="K")
     for k in range(1, ph * pw):
         np.maximum(out_t, xt[offset(k)], out=out_t)
@@ -589,18 +596,24 @@ def maxpool2d(x, window, stride):
 
     def bw(g):
         gt = _batch_innermost(g)
-        # hits[k]: windows whose first row-major maximum sits at offset k
-        taken = np.zeros(out_t.shape, dtype=bool)
-        hits = []
+        # first: each window's row-major offset of its first maximum.  It
+        # starts at ph*pw and drops by one at every offset from that maximum
+        # on; a NaN window equals nothing, keeps ph*pw and routes nothing.
+        seen = np.zeros(out_t.shape, dtype=bool)
+        first = np.full(out_t.shape, ph * pw, dtype=np.min_scalar_type(ph * pw))
         for k in range(ph * pw):
-            hit = (xt[offset(k)] == out_t) > taken
-            taken |= hit
-            hits.append(hit)
+            seen |= xt[offset(k)] == out_t
+            first -= seen.view(np.uint8)
         gxt = np.zeros_like(xt)
         # descending offsets add each input position's contributions in
-        # row-major window order
+        # row-major window order; disjoint windows give each position at
+        # most one, so the product is written in place
         for k in reversed(range(ph * pw)):
-            gxt[offset(k)] += gt * hits[k]
+            hit = first == k
+            if disjoint:
+                np.multiply(gt, hit, out=gxt[offset(k)])
+            else:
+                gxt[offset(k)] += gt * hit
         _accumulate(x, _from_batch_innermost(gxt))
 
     return _record(out, (x,), bw)

@@ -15,8 +15,9 @@ uses the summed per-label binary cross entropy in its stable logit form.
 Ablation variants drop exactly one of the three views.
 
 The model runs on a batch of queries: every activation carries a leading
-batch axis, all query/category maps of a batch go through the conv/pool
-stack as one stack of images, and a single query is the batch of one.
+batch axis, the query/category maps of a batch go through the conv/pool
+stack in tiles of at most MAP_TILE images, and a single query is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .errors import ConfigError, check_minimums
 from .textdata import TokenSequence, assemble_category_text
 
 VARIANTS = ("full", "no_self", "no_char", "no_semantic")
+
+# Interaction maps per pass through the conv/pool stack: few enough that a
+# tile's conv output, pool and ReLU stay in cache from one op to the next.
+MAP_TILE = 128
 
 
 @dataclass
@@ -201,16 +206,33 @@ def char_match(m, params, config):
     """Conv/pool interaction maps [..., Lq, Lc], project to one [..., d] row each.
 
     Every leading index rides the conv batch dimension, so all queries and
-    categories share the same filters and projection. Each block is
-    conv, ReLU, max-pool; ReLU runs after the pool, on the smaller map,
-    which gives the same values and gradients because max and ReLU commute.
+    categories share the same filters and projection. The maps go through
+    the stack in tiles of MAP_TILE, each flattened to [tile, flat] rows;
+    the rows are concatenated and projected once. Maps that fit one tile
+    are not sliced. Each block is conv, ReLU, max-pool; ReLU runs after the
+    pool, on the smaller map, which gives the same values and gradients
+    because max and ReLU commute.
     """
     *lead, h, w = m.shape
-    x = ad.reshape(m, (-1, 1, h, w))
+    maps = ad.reshape(m, (-1, 1, h, w))
+    n = maps.shape[0]
+    if n <= MAP_TILE:
+        feats = _conv_blocks(maps, params, config)
+    else:
+        tiles = []
+        for lo in range(0, n, MAP_TILE):
+            x = _conv_blocks(ad.slice_rows(maps, lo, lo + MAP_TILE), params, config)
+            tiles.append(ad.reshape(x, (x.shape[0], -1)))
+        feats = ad.concat(tiles, axis=0)
+    return ad.reshape(feats, (*lead, -1)) @ params.projection
+
+
+def _conv_blocks(x, params, config):
+    """Every conv block over an [n, 1, Lq, Lc] stack of maps."""
     for kernels, bias in zip(params.conv_kernels, params.conv_biases):
         x = ad.conv2d(x, kernels, bias, stride=config.conv_stride)
         x = ad.relu(ad.maxpool2d(x, config.pool_window, config.pool_stride))
-    return ad.reshape(x, (*lead, -1)) @ params.projection
+    return x
 
 
 def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths):

@@ -141,6 +141,58 @@ class TestSoftmax:
         check_grad_fd(build, [x])
 
 
+def softmax_exp_of_fills(z, axis, mask):
+    """The softmax formula that fills masked scores with -inf before exp."""
+    m = np.broadcast_to(mask, z.shape)
+    z = np.where(m, z, -np.inf)
+    mx = np.max(z, axis=axis, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    e = np.exp(z - mx)
+    s = e.sum(axis=axis, keepdims=True)
+    return e / np.where(s == 0.0, 1.0, s)
+
+
+_KEY_PADDING = np.arange(8) < np.random.default_rng(31).integers(1, 9, size=6)[:, None, None, None]
+
+# (scores, mask) pairs; the masked softmax must match the -inf-fill formula
+# bit for bit on each, without a warning
+_MASKED_SOFTMAX_CASES = {
+    "key_padding": (np.random.default_rng(32).normal(size=(6, 4, 8, 8)) * 5.0, _KEY_PADDING),
+    "fully_masked_row": (
+        np.array([[3.0, -1.0, 2.0], [800.0, 0.5, -900.0]]),
+        np.array([[True, False, True], [False, False, False]]),
+    ),
+    "non_finite_masked": (
+        np.array([[1.0, np.nan, np.inf, -np.inf, 800.0, 2.0]]),
+        np.array([[True, False, False, False, False, True]]),
+    ),
+    "masked_far_above_max": (
+        np.array([[0.0, 1e300, 1.0], [1e4, -1e4, 5e3]]),
+        np.array([[True, False, True], [False, True, True]]),
+    ),
+}
+
+
+class TestMaskedSoftmaxBitIdentity:
+    """The masked softmax exponentiates raw scores and zeroes masked ones
+    afterwards; its output is bit-identical to exponentiating -inf fills."""
+
+    @pytest.mark.parametrize(
+        "z, mask", _MASKED_SOFTMAX_CASES.values(), ids=list(_MASKED_SOFTMAX_CASES)
+    )
+    def test_matches_exp_of_fills(self, z, mask):
+        got = ad.softmax(ad.Tensor(z), axis=-1, mask=mask).data
+        np.testing.assert_array_equal(got, softmax_exp_of_fills(z, -1, mask))
+
+    def test_unmasked_non_finite_scores_match_too(self):
+        z = np.array([[np.inf, 1.0, 2.0], [np.nan, 1.0, 2.0]])
+        mask = np.ones((2, 3), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            got = ad.softmax(ad.Tensor(z), axis=-1, mask=mask).data
+            np.testing.assert_array_equal(got, softmax_exp_of_fills(z, -1, mask))
+        assert np.isnan(got[0, 0]) and np.all(np.isnan(got[1]))
+
+
 class TestElementwise:
     def test_relu_definition(self):
         out = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))
@@ -287,6 +339,19 @@ class TestMaxpool2d:
             x.grad, maxpool2d_loop_backward(x.data, (2, 2), (1, 1), w.data), atol=0
         )
 
+    def test_overlapping_windows_add_in_row_major_window_order(self):
+        # the centre is all four windows' maximum; their gradients sum to
+        # 1.0 in row-major window order and to 0.0 in reverse
+        x = ad.Tensor(np.pad([[[[9.0]]]], ((0, 0), (0, 0), (1, 1), (1, 1))), requires_grad=True)
+        g = ad.Tensor([[[[1e16, 1.0], [-1e16, 1.0]]]])
+        with ad.Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(ad.maxpool2d(x, (2, 2), (1, 1)), g))
+        ad.backward(loss, tape)
+        assert x.grad[0, 0, 1, 1] == 1.0
+        np.testing.assert_array_equal(
+            x.grad, maxpool2d_loop_backward(x.data, (2, 2), (1, 1), g.data)
+        )
+
 
 def batch_innermost_view(a):
     """The [N,C,H,W] view of a contiguous [C,H,W,N] copy of `a`."""
@@ -294,17 +359,16 @@ def batch_innermost_view(a):
 
 
 # Inputs for the batch-innermost conv/pool paths: (name, input, stride,
-# x requires grad, _COLUMN_ELEMS override or None).
+# x requires grad).  With the (2, 3) pool window, stride (1, 1) overlaps the
+# windows and stride (2, 3) tiles them disjointly.
 _LAYOUT_CASES = [
     (
         "batch_innermost",
-        lambda rng: batch_innermost_view(rng.normal(size=(3, 2, 6, 7))), (1, 1), True, None,
+        lambda rng: batch_innermost_view(rng.normal(size=(3, 2, 6, 7))), (1, 1), True,
     ),
-    ("stride_2_3", lambda rng: rng.normal(size=(2, 2, 7, 8)), (2, 3), True, None),
-    ("one_map", lambda rng: rng.normal(size=(1, 2, 6, 7)), (1, 1), True, None),
-    ("no_grad_input", lambda rng: rng.normal(size=(3, 2, 6, 7)), (1, 1), False, None),
-    # columns of two maps (2 channels x 3x2 kernel x 4x6 outputs) per slice: 3 slices
-    ("several_n_slices", lambda rng: rng.normal(size=(5, 2, 6, 7)), (1, 1), True, 2 * (2 * 6 * 24)),
+    ("stride_2_3", lambda rng: rng.normal(size=(2, 2, 7, 8)), (2, 3), True),
+    ("one_map", lambda rng: rng.normal(size=(1, 2, 6, 7)), (1, 1), True),
+    ("no_grad_input", lambda rng: rng.normal(size=(3, 2, 6, 7)), (1, 1), False),
 ]
 
 
@@ -313,13 +377,11 @@ class TestBatchInnermostConvPool:
     tolerances (1e-10 for conv2d, exact for maxpool2d)."""
 
     @pytest.mark.parametrize(
-        "make_x, stride, x_grad, column_elems",
+        "make_x, stride, x_grad",
         [case[1:] for case in _LAYOUT_CASES],
         ids=[case[0] for case in _LAYOUT_CASES],
     )
-    def test_conv2d_matches_loop_oracle(self, monkeypatch, make_x, stride, x_grad, column_elems):
-        if column_elems is not None:
-            monkeypatch.setattr(ad, "_COLUMN_ELEMS", column_elems)
+    def test_conv2d_matches_loop_oracle(self, make_x, stride, x_grad):
         rng = np.random.default_rng(21)
         x = ad.Tensor(make_x(rng), requires_grad=x_grad)
         k = ad.Tensor(rng.normal(size=(3, 2, 3, 2)), requires_grad=True)
@@ -341,8 +403,8 @@ class TestBatchInnermostConvPool:
 
     @pytest.mark.parametrize(
         "make_x, stride, x_grad",
-        [case[1:4] for case in _LAYOUT_CASES if case[4] is None],
-        ids=[case[0] for case in _LAYOUT_CASES if case[4] is None],
+        [case[1:] for case in _LAYOUT_CASES],
+        ids=[case[0] for case in _LAYOUT_CASES],
     )
     def test_maxpool2d_matches_loop_oracle(self, make_x, stride, x_grad):
         rng = np.random.default_rng(22)
@@ -372,6 +434,21 @@ class TestBatchInnermostConvPool:
         ad.backward(loss, tape)
         np.testing.assert_array_equal(x.grad[0, 0, :2, :2], 0.0)
         assert x.grad.sum() == 3.0
+
+    def test_nan_in_overlapping_windows_routes_no_gradient(self):
+        data = np.arange(16.0).reshape(1, 1, 4, 4)
+        data[0, 0, 0, 1] = np.nan
+        x = ad.Tensor(data, requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.maxpool2d(x, (2, 2), (1, 1))
+            loss = ad.reduce_sum(out)
+        assert np.isnan(out.data[0, 0, 0, :2]).all()
+        ad.backward(loss, tape)
+        # the other seven windows route to their bottom-right element
+        want = np.zeros((4, 4))
+        want[1:, 1:] = 1.0
+        want[1, 1:3] = 0.0
+        np.testing.assert_array_equal(x.grad[0, 0], want)
 
     def test_3d_input_rejected(self):
         x = ad.Tensor(np.zeros((2, 6, 7)))
@@ -522,6 +599,30 @@ class TestShapeOps:
             return scalar_loss(ad.reshape(ad.transpose(x), (2, 6)))
 
         check_grad_fd(build, [x])
+
+    def test_slice_rows_gradient(self):
+        rng = np.random.default_rng(25)
+        x = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        check_grad_fd(lambda: scalar_loss(ad.slice_rows(x, 1, 4)), [x])
+
+    def test_slices_of_one_intermediate_and_a_leaf_add_up(self):
+        rng = np.random.default_rng(26)
+        x = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(6, 3)))
+
+        def build():
+            h = ad.tanh(x)
+            # overlapping rows 2:4, a ragged slice past the end, and x itself
+            parts = [ad.slice_rows(h, 0, 4), ad.slice_rows(h, 2, 9) * 3.0]
+            return scalar_loss(ad.concat(parts, axis=0)) + ad.reduce_sum(x * w)
+
+        check_grad_fd(build, [x])
+        with ad.Tape() as tape:
+            loss = scalar_loss(ad.slice_rows(x, 0, 2)) + scalar_loss(ad.slice_rows(x, 1, 3))
+        x.zero_grad()
+        ad.backward(loss, tape)
+        want = x.data * np.array([1.0, 2.0, 1.0, 0.0, 0.0, 0.0])[:, None]
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_embedding_gradient_hits_used_rows_only(self):
         rng = np.random.default_rng(16)

@@ -13,7 +13,7 @@ from intentmatch.errors import (
     NonFiniteError,
     VersionMismatchError,
 )
-from intentmatch import training
+from intentmatch import model as model_module, training
 from intentmatch.model import VARIANTS, Model, ModelConfig, multilabel_loss
 from intentmatch.synthetic import SyntheticConfig, generate_synthetic
 from intentmatch.textdata import Vocab
@@ -242,6 +242,40 @@ class TestBatchedGradients:
         for size in (1, 8):
             batch_gradients(model, data.train[:size], data.categories)
         assert lengths[0] == lengths[1]
+
+
+class TestMapTiles:
+    """char_match over several MAP_TILE tiles against the one-tile run."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tiles_match_one_tile(self, monkeypatch, variant):
+        model, data = tiny_setup(seed=5, variant=variant)
+        model.fusion.w_x.data[:] = np.random.default_rng(6).normal(size=(3, 3))
+        batch = data.train[:7]  # 21 maps: five tiles of 4 and a ragged one of 1
+        queries = [ex.query for ex in batch]
+        cat_enc = model.encode_categories(data.categories)
+        want_logits = model.forward(queries, cat_enc).data
+        want_loss = batch_gradients(model, batch, data.categories)
+        want = {n: t.grad.copy() for n, t in model.parameters()}
+        for _, t in model.parameters():
+            t.zero_grad()
+        monkeypatch.setattr(model_module, "MAP_TILE", 4)
+        np.testing.assert_array_equal(model.forward(queries, cat_enc).data, want_logits)
+        got_loss = batch_gradients(model, batch, data.categories)
+        assert abs(got_loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        for n, t in model.parameters():
+            assert np.abs(t.grad - want[n]).max() <= 1e-12 * max(1.0, np.abs(want[n]).max()), n
+
+    def test_tape_grows_by_a_fixed_count_per_tile(self, monkeypatch):
+        model, data = tiny_setup()
+        monkeypatch.setattr(model_module, "MAP_TILE", 3)  # one query's 3 maps per tile
+        lengths = []
+        monkeypatch.setattr(training.ad, "backward", lambda loss, tape: lengths.append(len(tape)))
+        for tiles in (2, 3, 4, 5):
+            batch_gradients(model, data.train[:tiles], data.categories)
+        # a tile is its slice, conv/pool/ReLU per conv block, and its flatten
+        per_tile = 2 + 3 * model.config.conv_blocks
+        assert np.diff(lengths).tolist() == [per_tile] * 3
 
 
 def rewrite_header(path, mutate):
