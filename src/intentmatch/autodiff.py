@@ -90,9 +90,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -104,14 +101,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -239,19 +230,6 @@ def add(a, b):
     return _record(out, (a, b), bw)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.data.shape))
-
-    return _record(out, (a, b), bw)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -261,19 +239,6 @@ def mul(a, b):
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _record(out, (a, b), bw)
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g * out.data / b.data, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -394,24 +359,21 @@ def stable_sigmoid(x):
     return out
 
 
-def softplus(a):
-    """log(1 + exp(x)) in the overflow-safe form max(x,0) + log1p(exp(-|x|))."""
-    x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
+def sigmoid_cross_entropy(z, y):
+    """Per-element binary cross entropy of logits `z` against a constant 0/1 array `y`.
+
+    softplus(z) - z*y, softplus(z) = max(z,0) + log1p(exp(-|z|)): finite for
+    any logit, unlike -[y log sigmoid(z) + (1-y) log(1 - sigmoid(z))].
+    """
+    x, y = z.data, np.asarray(y, dtype=np.float64)
+    if y.shape != x.shape:
+        raise DimensionError(f"sigmoid_cross_entropy: logits {x.shape} vs targets {y.shape}")
+    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - x * y)
 
     def bw(g):
-        _accumulate(a, g * stable_sigmoid(x))
+        _accumulate(z, g * stable_sigmoid(x) - g * y)
 
-    return _record(out, (a,), bw)
-
-
-def sqrt(a):
-    out = Tensor(np.sqrt(a.data))
-
-    def bw(g):
-        _accumulate(a, g * 0.5 / out.data)
-
-    return _record(out, (a,), bw)
+    return _record(out, (z,), bw)
 
 
 def softmax(a, axis, mask=None):
@@ -448,7 +410,7 @@ def softmax(a, axis, mask=None):
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# reductions and normalization
 
 
 def reduce_sum(a, axis=None, keepdims=False):
@@ -461,15 +423,30 @@ def reduce_sum(a, axis=None, keepdims=False):
     return _record(out, (a,), bw)
 
 
-def reduce_mean(a, axis=None, keepdims=False):
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    n = a.data.size if axis is None else a.data.shape[axis]
+def layer_norm(x, gamma, beta, eps):
+    """Layer norm over the last axis: n*gamma + beta, n = (x - mean) / s, s = sqrt(var + eps).
+
+    Saved models' logits depend bit for bit on this order of numpy operations.
+    Backward is closed-form: with h = g*gamma, dx = (h - mean(h) - n*mean(h*n)) / s.
+    """
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    s = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / s
+    out = Tensor(normed * gamma.data + beta.data)
 
     def bw(g):
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg, a.data.shape) / n)
+        if gamma.requires_grad:
+            _accumulate(gamma, _unbroadcast(g * normed, gamma.data.shape))
+        if x.requires_grad:
+            h = g * gamma.data
+            h_mean = h.mean(axis=-1, keepdims=True)
+            hn_mean = (h * normed).mean(axis=-1, keepdims=True)
+            _accumulate(x, (h - h_mean - normed * hn_mean) / s)
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, beta.data.shape))
 
-    return _record(out, (a,), bw)
+    return _record(out, (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -57,15 +57,6 @@ class EncoderParams(ad.Params):
             self.layers.append(layer)
 
 
-def layer_norm(x, gamma, beta, eps=LAYERNORM_EPS):
-    """Normalization over the last axis to zero mean / unit variance, then affine."""
-    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ad.reduce_mean(centered * centered, axis=-1, keepdims=True)
-    normed = centered / ad.sqrt(var + eps)
-    return normed * gamma + beta
-
-
 def _attention_block(x, layer, key_mask, num_heads):
     """Multi-head self-attention over [B, L, d], heads laid out as [B, H, L, dh]."""
     batch, length, d = x.shape
@@ -82,13 +73,13 @@ def _attention_block(x, layer, key_mask, num_heads):
     # PAD keys get exactly zero attention from every position
     attn = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
     merged = ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (batch, length, d))
-    return layer_norm(x + merged @ layer["w_o"], layer["ln1_g"], layer["ln1_b"])
+    return ad.layer_norm(x + merged @ layer["w_o"], layer["ln1_g"], layer["ln1_b"], LAYERNORM_EPS)
 
 
 def _ffn_block(x, layer):
     hidden = ad.relu(x @ layer["ffn_w1"] + layer["ffn_b1"])
     out = hidden @ layer["ffn_w2"] + layer["ffn_b2"]
-    return layer_norm(x + out, layer["ln2_g"], layer["ln2_b"])
+    return ad.layer_norm(x + out, layer["ln2_g"], layer["ln2_b"], LAYERNORM_EPS)
 
 
 def length_mask(lengths, length):

@@ -38,4 +38,4 @@ class ConfigMismatchError(CheckpointError):
 
 
 class CorruptCheckpointError(CheckpointError):
-    """Checkpoint payload is truncated or fails a length check."""
+    """Checkpoint is truncated, fails a length check or holds a non-finite tensor."""

@@ -72,6 +72,8 @@ def _prf(tp, fp, fn):
 
 def compute_metrics(preds, golds, threshold=DEFAULT_THRESHOLD):
     """Micro (pooled counts) and macro (per-category means) P/R/F1."""
+    if not len(preds):
+        raise ConfigError("no examples to score")
     if len(preds) != len(golds):
         raise ConfigError(f"{len(preds)} predictions vs {len(golds)} gold vectors")
     p = np.asarray(preds, dtype=np.float64)

@@ -270,13 +270,8 @@ def fuse_and_score(features, params):
 
 
 def multilabel_loss(logits, labels):
-    """Summed per-label binary cross entropy on raw logits.
-
-    Uses softplus(z) - z*y, identical to -[y log sigmoid(z) +
-    (1-y) log(1 - sigmoid(z))] but finite for any logit magnitude.
-    """
-    y = ad.as_tensor(np.asarray(labels, dtype=np.float64))
-    return ad.reduce_sum(ad.softplus(logits) - logits * y)
+    """Summed per-label binary cross entropy on raw logits (see `ad.sigmoid_cross_entropy`)."""
+    return ad.reduce_sum(ad.sigmoid_cross_entropy(logits, labels))
 
 
 class Model(ad.Params):

@@ -234,6 +234,8 @@ def load_dataset(path, vocab, num_categories, l_max):
                     )
                 labels[cid] = 1.0
             queries.append(LabeledQuery(tokenize(text, vocab, l_max), labels, text))
+    if not queries:
+        raise DataFormatError(f"{path}: holds no queries")
     return queries
 
 

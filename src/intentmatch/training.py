@@ -231,8 +231,10 @@ class _Reader:
             raise CorruptCheckpointError(
                 f"{self.path}: {what} payload is {nbytes} bytes, expected {expected}"
             )
-        buf = self.take(nbytes, what)
-        return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(self.take(nbytes, what), dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CorruptCheckpointError(f"{self.path}: {what} holds a NaN or infinite value")
+        return arr
 
 
 def _header_value(path, block, key, where="header"):

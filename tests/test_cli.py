@@ -332,14 +332,14 @@ class TestExitCodes:
 
 
 class TestEval:
-    def run_eval(self, tmp_path, data, ckpt, extra=()):
+    def run_eval(self, tmp_path, data, ckpt, extra=(), data_file=None):
         tmp_path.mkdir(parents=True, exist_ok=True)
         report = tmp_path / "report.txt"
         records = tmp_path / "records.tsv"
         rc = main([
             "eval",
             "--checkpoint", str(ckpt),
-            "--data-file", str(data / "test.tsv"),
+            "--data-file", str(data_file or data / "test.tsv"),
             "--categories-file", str(data / "categories.tsv"),
             "--vocab-file", str(data / "vocab.txt"),
             "--report-out", str(report),
@@ -505,6 +505,25 @@ class TestEval:
         assert "--train-file" in capsys.readouterr().err
         assert not report.exists() and not records.exists()
 
+    @pytest.mark.parametrize("empty", ["data", "train"])
+    def test_file_without_queries_exits_2_before_writing(self, tmp_path, capsys, empty):
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        blank = tmp_path / "blank.tsv"
+        blank.write_text("\n\n\n", encoding="utf-8")
+        table = tmp_path / "ablation.txt"
+        train_file = blank if empty == "train" else data / "train.tsv"
+        capsys.readouterr()
+        rc, report, records = self.run_eval(
+            tmp_path, data, ckpt,
+            extra=["--ablation", "--train-file", str(train_file), "--ablation-out", str(table)],
+            data_file=blank if empty == "data" else None,
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {blank}: holds no queries\n"
+        assert not report.exists() and not records.exists() and not table.exists()
+
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         data = gen(tmp_path)
         rc, _, _ = self.run_eval(tmp_path, data, tmp_path / "ghost.ckpt")
@@ -576,6 +595,27 @@ class TestPredict:
         assert rc == 3
         assert str(ckpt) in err
         assert "Traceback" not in err
+
+    def test_nan_in_payload_exits_3_naming_the_tensor(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        raw = bytearray(ckpt.read_bytes())
+        at = 12 + int.from_bytes(raw[8:12], "little") + 8  # first value of encoder.tok_emb
+        raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        rc = main([
+            "predict",
+            "--checkpoint", str(ckpt),
+            "--categories-file", str(data / "categories.tsv"),
+            "--vocab-file", str(data / "vocab.txt"),
+            "--query", "abc",
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "encoder.tok_emb" in err
+        assert out == ""
 
     def test_core_token_query_ranks_its_category_first(self, tmp_path, capsys):
         """After real training, a query made of category j's own core

@@ -124,6 +124,10 @@ class TestComputeMetrics:
         with pytest.raises(ConfigError, match="shape"):
             compute_metrics([[1, 0, 1]], [[1, 0]])
 
+    def test_no_examples_rejected(self):
+        with pytest.raises(ConfigError, match="no examples"):
+            compute_metrics([], [])
+
     def test_f1_is_harmonic_mean_of_micro_p_and_r(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -199,6 +203,11 @@ class TestEvaluate:
         assert a == b
         assert a.example_count == len(data.test)
         assert len(a.per_category) == 3
+
+    def test_empty_data_rejected(self):
+        data, config = tiny_world()
+        with pytest.raises(ConfigError, match="no examples"):
+            evaluate(Model(config, np.random.default_rng(0)), [], data.categories)
 
 
     def test_chunked_batches_match_per_query_decisions(self):

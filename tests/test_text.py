@@ -226,6 +226,12 @@ class TestFileRoundTrips:
         with pytest.raises(DataFormatError, match=r"bad\.tsv:1.*5"):
             load_dataset(path, Vocab(["q"]), 2, l_max=4)
 
+    def test_file_without_queries_rejected(self, tmp_path):
+        path = tmp_path / "blank.tsv"
+        path.write_text("\n\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"blank\.tsv: holds no queries"):
+            load_dataset(path, Vocab(["q"]), 2, l_max=4)
+
     def test_unlabeled_line_rejected_when_labels_required(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q\t\n", encoding="utf-8")

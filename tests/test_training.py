@@ -207,7 +207,7 @@ class TestBatchedGradients:
                 logits = model.forward(ex.query, model.encode_categories(cats))
                 loss = multilabel_loss(logits, ex.labels) * (1.0 / len(batch))
             ad.backward(loss, tape)
-            loss_sum += loss.item()
+            loss_sum += float(loss.data)
             for n, t in model.parameters():
                 grads[n] += t.grad
                 t.zero_grad()
@@ -242,6 +242,16 @@ class TestBatchedGradients:
         for size in (1, 8):
             batch_gradients(model, data.train[:size], data.categories)
         assert lengths[0] == lengths[1]
+
+    def test_c4_step_tape_length(self, monkeypatch):
+        """One C4 step (default synthetic set, d=32, batch 32) records 157 nodes."""
+        data = generate_synthetic(SyntheticConfig())
+        config = ModelConfig(vocab_size=len(data.vocab), num_categories=len(data.categories), d=32)
+        model = Model(config, np.random.default_rng(0))
+        lengths = []
+        monkeypatch.setattr(training.ad, "backward", lambda loss, tape: lengths.append(len(tape)))
+        batch_gradients(model, data.train[:32], data.categories)
+        assert lengths == [157]
 
 
 class TestMapTiles:
@@ -490,6 +500,21 @@ class TestCheckpoint:
         raw[first_len_at : first_len_at + 8] = (3).to_bytes(8, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptCheckpointError, match="payload"):
+            load_checkpoint(path, data.vocab, data.categories)
+
+    @pytest.mark.parametrize("index, what", [(0, "encoder.tok_emb"), (-1, r"adam v\[fusion.w_x\]")])
+    def test_non_finite_tensor_is_corrupt_naming_it(self, tmp_path, index, what):
+        model, data = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        state = AdamState.for_params(model.parameters(), lr=1e-3)
+        save_checkpoint(path, model, data.vocab, data.categories, state)
+        raw = bytearray(path.read_bytes())
+        blob_len = int.from_bytes(raw[8:12], "little")
+        # the first value of the first tensor, or the last value of the last one
+        at = 12 + blob_len + 8 if index == 0 else len(raw) - 8
+        raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpointError, match=what):
             load_checkpoint(path, data.vocab, data.categories)
 
     def test_trailing_bytes_are_corrupt(self, tmp_path):
