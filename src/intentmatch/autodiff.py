@@ -9,19 +9,15 @@ whose inputs participate in the gradient graph appends one node;
 ``.grad`` buffers.  A :class:`Params` collects a model's trainable tensors
 under their names, in the order they are created.
 
-Gradient accumulation rules:
-
-* leaf tensors (parameters, constants promoted to ``requires_grad``) own a
-  zero ``.grad`` from creation and keep accumulating across ``backward``
-  calls until ``zero_grad`` (or an optimizer step) zeroes it;
-* intermediate results get no buffer while the tape is recorded.  During
-  ``backward`` an intermediate's ``.grad`` is allocated on the first
-  accumulation into it and released (set back to ``None``) as soon as its
-  node has been replayed; a node whose output received no gradient is
-  skipped.  Every ``backward`` call therefore starts the intermediates from
-  nothing, so calling it twice on the same tape doubles the leaf gradients
-  and nothing else, and after it returns every intermediate's ``.grad`` is
-  ``None``.
+Gradient rule: every tensor's ``.grad`` is ``None`` until the first
+gradient reaches it, when the buffer is allocated, and goes back to
+``None`` when it is released.  ``backward`` releases each tape output's
+buffer as soon as its node has been replayed (a node whose output received
+no gradient is skipped); any other tensor, a parameter say, keeps
+accumulating across ``backward`` calls until ``zero_grad`` (or an optimizer
+step) releases it.  Calling ``backward`` twice on the same tape therefore
+doubles the parameter gradients and nothing else, and after it returns
+every tape output's ``.grad`` is ``None``.
 
 Forward results are deterministic: identical inputs produce bit-identical
 outputs (single-threaded numpy, no stochastic ops).
@@ -70,13 +66,12 @@ class _Node:
 class Tensor:
     """Dense n-dimensional float64 array, optionally tracked on a tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_leaf")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._leaf = True
+        self.grad = None
 
     @property
     def shape(self):
@@ -91,8 +86,7 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -146,7 +140,6 @@ def _record(out, inputs, backward_fn):
     if _tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
-    out._leaf = False
     _tape.nodes.append(_Node(out, backward_fn))
     return out
 
@@ -154,13 +147,12 @@ def _record(out, inputs, backward_fn):
 def _accumulate(t, g, index=None, copy=False):
     """Add `g` into `t.grad`, or into `t.grad[index]` with repeats adding up.
 
-    A leaf's buffer exists from its creation.  An intermediate's is
-    allocated here, on the first accumulation into it: zeros before an
-    indexed add, otherwise `g` itself becomes the buffer.  That needs `g` to
-    be an array no other tensor holds: a fresh result, or a view of the
-    gradient being replayed, which `backward` has already released.  Pass
-    `copy=True` when the same `g` also goes to another input; a read-only
-    `g` (a broadcast view) is always copied.
+    The buffer is allocated here, on the first accumulation into it: zeros
+    before an indexed add, otherwise `g` itself becomes the buffer.  That
+    needs `g` to be an array no other tensor holds: a fresh result, or a
+    view of the gradient being replayed, which `backward` has already
+    released.  Pass `copy=True` when the same `g` also goes to another
+    input; a read-only `g` (a broadcast view) is always copied.
     """
     if index is not None:
         if t.grad is None:
@@ -178,20 +170,17 @@ def backward(loss, tape):
     """Populate dLoss/dLeaf for every grad-requiring leaf under `tape`.
 
     `loss` must hold exactly one element.  Nodes are replayed in reverse;
-    each intermediate's buffer is released right after its node is
-    replayed, and a node whose output received no gradient is skipped.
-    Leaf gradients accumulate across calls (callers zero them via the
-    optimizer or `zero_grad`).
+    each output's buffer is released right after its node is replayed, and
+    a node whose output received no gradient is skipped.  Leaf gradients
+    accumulate across calls (callers release them via the optimizer or
+    `zero_grad`).
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if loss._leaf:
-        if loss.requires_grad:
-            loss.grad += 1.0
-        return
     for node in tape.nodes:  # drop what an interrupted replay left behind
         node.output.grad = None
-    loss.grad = np.ones_like(loss.data)
+    if loss.requires_grad:
+        _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(tape.nodes):
         out = node.output
         g = out.grad
@@ -379,26 +368,21 @@ def sigmoid_cross_entropy(z, y):
 def softmax(a, axis, mask=None):
     """Max-stabilized softmax along `axis`.
 
-    `mask` is a boolean array broadcastable to the input; False positions
-    are excluded from the normalization and produce exactly 0.  A fully
-    masked slice yields all zeros rather than NaN.
+    `mask` is a boolean array broadcastable to the input (None: all True);
+    False positions are excluded from the normalization and produce
+    exactly 0.  A fully masked slice yields all zeros rather than NaN.
     """
     if axis >= a.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {a.shape}")
     z = a.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        mx = np.max(np.where(mask, z, -np.inf), axis=axis, keepdims=True)
-    else:
-        mx = np.max(z, axis=axis, keepdims=True)
+    mask = np.broadcast_to(np.asarray(True if mask is None else mask, dtype=bool), z.shape)
+    mx = np.max(np.where(mask, z, -np.inf), axis=axis, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
     # exp of the raw scores, not of -inf fills, on which numpy's exp runs
     # about 3x slower; a masked score may exceed mx and overflow to inf,
     # which the mask then zeroes like any other value there
     with np.errstate(over="ignore"):
-        e = np.exp(z - mx)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
+        e = np.where(mask, np.exp(z - mx), 0.0)
     s = e.sum(axis=axis, keepdims=True)
     out = Tensor(e / np.where(s == 0.0, 1.0, s))
 

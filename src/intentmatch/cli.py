@@ -8,10 +8,11 @@ fixed line format with no room for headers).  Every file is written
 atomically.  The `gen` and `train` flags are generated from the fields, and
 take the defaults, of `SyntheticConfig` and of `ModelConfig`/`TrainConfig`.
 
-Exit codes (`_EXIT_CODES`): 0 success; 2 a missing file or an invalid flag,
-config, dataset, vocab or category file; 3 an unreadable or mismatched
-checkpoint; 4 training diverged (a NaN or infinite loss or parameter), in
-which case `train` writes neither the checkpoint nor the loss log.
+Exit codes (`_EXIT_CODES`): 0 success; 2 a file that cannot be read or
+written, or an invalid flag, config, dataset, vocab or category file; 3 an
+unreadable or mismatched checkpoint; 4 training diverged (a NaN or infinite
+loss or parameter), in which case `train` writes neither the checkpoint nor
+the loss log.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .evaluation import (
 from .model import Model, ModelConfig
 from .synthetic import SyntheticConfig, generate_synthetic
 from .textdata import (
+    check_output_paths,
     load_categories,
     load_dataset,
     load_vocab,
@@ -150,6 +152,7 @@ def cmd_gen(args):
 
 
 def cmd_train(args):
+    check_output_paths(args.checkpoint_out, args.loss_log)
     tc = _config_from_args(TrainConfig, args)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
@@ -186,24 +189,43 @@ def _config_header_lines(extra, threshold):
     ]
 
 
+def _train_config_from_run_config(run_cfg, checkpoint):
+    """The TrainConfig a checkpoint's run_config records.
+
+    A value is taken only when its JSON type is the field's: an integer for
+    an int field, an integer or a real for a float field, never a boolean.
+    Keys that are not TrainConfig fields (older checkpoints carry some) are
+    ignored.
+    """
+    values = {}
+    for f in dataclasses.fields(TrainConfig):
+        if f.name not in run_cfg:
+            continue
+        value, kind = run_cfg[f.name], type(f.default)
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise CorruptCheckpointError(
+                f"{checkpoint}: bad run_config: {f.name} is {value!r}, expected {kind.__name__}"
+            )
+        values[f.name] = value
+    try:
+        return TrainConfig(**values)
+    except (ConfigError, OverflowError) as exc:  # OverflowError: an int lr beyond float range
+        raise CorruptCheckpointError(f"{checkpoint}: bad run_config: {exc}") from exc
+
+
 def cmd_eval(args):
     if args.ablation and not (args.train_file and args.ablation_out):
         raise ConfigError("--ablation requires --train-file and --ablation-out")
+    ablation_out = [args.ablation_out] if args.ablation else []
+    check_output_paths(args.report_out, args.records_out, *ablation_out)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
     model = loaded.model
     run_cfg = loaded.extra.get("run_config", {})
     if args.ablation:
-        # retrain with the settings the checkpoint was built with; keys that
-        # are not TrainConfig fields (older checkpoints carry some) are ignored
-        try:
-            tc = TrainConfig(**{
-                f.name: type(f.default)(run_cfg[f.name])
-                for f in dataclasses.fields(TrainConfig) if f.name in run_cfg
-            })
-        except (TypeError, ValueError) as exc:
-            raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
+        # retrain with the settings the checkpoint was built with
+        tc = _train_config_from_run_config(run_cfg, args.checkpoint)
         train_data = load_dataset(args.train_file, vocab, len(cats), l_max=model.config.l_q)
     data = load_dataset(args.data_file, vocab, len(cats), l_max=model.config.l_q)
     report = evaluate(model, data, cats, threshold=args.threshold)
@@ -250,9 +272,13 @@ def cmd_predict(args):
 
 _HANDLERS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "predict": cmd_predict}
 
-# the exit code of each error a command ends in with one `error:` line
+# the exit code of each error a command ends in with one `error:` line.  Of
+# the OSErrors only those of a path that cannot be opened are listed: an I/O
+# failure on an open file, such as a full disk, is not a bad input and
+# propagates.
 _EXIT_CODES = {
-    FileNotFoundError: 2, ConfigError: 2, DataFormatError: 2, VocabError: 2,
+    FileNotFoundError: 2, IsADirectoryError: 2, NotADirectoryError: 2, PermissionError: 2,
+    ConfigError: 2, DataFormatError: 2, VocabError: 2,
     CheckpointError: 3, NonFiniteError: 4,
 }
 

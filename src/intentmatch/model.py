@@ -208,31 +208,21 @@ def char_match(m, params, config):
     Every leading index rides the conv batch dimension, so all queries and
     categories share the same filters and projection. The maps go through
     the stack in tiles of MAP_TILE, each flattened to [tile, flat] rows;
-    the rows are concatenated and projected once. Maps that fit one tile
-    are not sliced. Each block is conv, ReLU, max-pool; ReLU runs after the
-    pool, on the smaller map, which gives the same values and gradients
-    because max and ReLU commute.
+    the rows are concatenated and projected once. Each block is conv, ReLU,
+    max-pool; ReLU runs after the pool, on the smaller map, which gives the
+    same values and gradients because max and ReLU commute.
     """
     *lead, h, w = m.shape
     maps = ad.reshape(m, (-1, 1, h, w))
-    n = maps.shape[0]
-    if n <= MAP_TILE:
-        feats = _conv_blocks(maps, params, config)
-    else:
-        tiles = []
-        for lo in range(0, n, MAP_TILE):
-            x = _conv_blocks(ad.slice_rows(maps, lo, lo + MAP_TILE), params, config)
-            tiles.append(ad.reshape(x, (x.shape[0], -1)))
-        feats = ad.concat(tiles, axis=0)
+    tiles = []
+    for lo in range(0, maps.shape[0], MAP_TILE):
+        x = ad.slice_rows(maps, lo, lo + MAP_TILE)
+        for kernels, bias in zip(params.conv_kernels, params.conv_biases):
+            x = ad.conv2d(x, kernels, bias, stride=config.conv_stride)
+            x = ad.relu(ad.maxpool2d(x, config.pool_window, config.pool_stride))
+        tiles.append(ad.reshape(x, (x.shape[0], -1)))
+    feats = ad.concat(tiles, axis=0)
     return ad.reshape(feats, (*lead, -1)) @ params.projection
-
-
-def _conv_blocks(x, params, config):
-    """Every conv block over an [n, 1, Lq, Lc] stack of maps."""
-    for kernels, bias in zip(params.conv_kernels, params.conv_biases):
-        x = ad.conv2d(x, kernels, bias, stride=config.conv_stride)
-        x = ad.relu(ad.maxpool2d(x, config.pool_window, config.pool_stride))
-    return x
 
 
 def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths):

@@ -191,10 +191,36 @@ def atomic_output(path):
             os.remove(tmp)
 
 
+def check_output_paths(*paths):
+    """Check, before any work, that `atomic_output` can write each of `paths`.
+
+    A missing directory raises FileNotFoundError naming it; a path that is
+    itself a directory raises IsADirectoryError.
+    """
+    for path in paths:
+        head = os.path.dirname(os.fspath(path)) or "."
+        if not os.path.isdir(head):
+            raise FileNotFoundError(f"no such directory: {head} (for output {path})")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output {path} is a directory")
+
+
 def write_text(path, text):
     """Write `text` to `path` as UTF-8 through `atomic_output`."""
     with atomic_output(path) as f:
         f.write(text.encode("utf-8"))
+
+
+def _lines(path):
+    """The lines of a UTF-8 file, split as text mode splits them, without line ends.
+
+    A file that is not valid UTF-8 raises DataFormatError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def serialize_dataset(queries):
@@ -211,29 +237,27 @@ def save_dataset(path, queries):
 
 def load_dataset(path, vocab, num_categories, l_max):
     queries = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected '<query>\\t<ids>'")
-            text, _, id_field = line.rpartition("\t")
-            labels = np.zeros(num_categories)
-            raw_ids = [s for s in id_field.split(",") if s]
-            if not raw_ids:
-                raise DataFormatError(f"{path}:{lineno}: query has no labels")
-            for s in raw_ids:
-                try:
-                    cid = int(s)
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad category id {s!r}") from exc
-                if not 0 <= cid < num_categories:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: category id {cid} outside [0, {num_categories})"
-                    )
-                labels[cid] = 1.0
-            queries.append(LabeledQuery(tokenize(text, vocab, l_max), labels, text))
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected '<query>\\t<ids>'")
+        text, _, id_field = line.rpartition("\t")
+        labels = np.zeros(num_categories)
+        raw_ids = [s for s in id_field.split(",") if s]
+        if not raw_ids:
+            raise DataFormatError(f"{path}:{lineno}: query has no labels")
+        for s in raw_ids:
+            try:
+                cid = int(s)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad category id {s!r}") from exc
+            if not 0 <= cid < num_categories:
+                raise DataFormatError(
+                    f"{path}:{lineno}: category id {cid} outside [0, {num_categories})"
+                )
+            labels[cid] = 1.0
+        queries.append(LabeledQuery(tokenize(text, vocab, l_max), labels, text))
     if not queries:
         raise DataFormatError(f"{path}: holds no queries")
     return queries
@@ -253,21 +277,19 @@ def save_categories(path, cats):
 
 def load_categories(path, vocab):
     records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected '<id>\\t<name>\\t<words>'")
-            try:
-                cid = int(parts[0])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad category id {parts[0]!r}") from exc
-            name = parts[1]
-            words = [w for w in parts[2].split(" ") if w]
-            records.append(make_category_record(vocab, cid, name, words))
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected '<id>\\t<name>\\t<words>'")
+        try:
+            cid = int(parts[0])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad category id {parts[0]!r}") from exc
+        name = parts[1]
+        words = [w for w in parts[2].split(" ") if w]
+        records.append(make_category_record(vocab, cid, name, words))
     return CategorySet(records)
 
 
@@ -282,8 +304,7 @@ def save_vocab(path, vocab):
 
 
 def load_vocab(path):
-    with open(path, encoding="utf-8") as f:
-        tokens = [line.rstrip("\n") for line in f]
+    tokens = _lines(path)
     while tokens and tokens[-1] == "":
         tokens.pop()
     return Vocab(tokens)

@@ -58,24 +58,27 @@ class AdamState:
 
 
 def adam_step(named_params, state):
-    """One in-place Adam update; gradients are consumed and zeroed."""
+    """One in-place Adam update; gradients are consumed and released.
+
+    A parameter whose `.grad` is None takes a zero-gradient step.
+    """
     state.step += 1
     b1c = 1.0 - state.beta1**state.step
     b2c = 1.0 - state.beta2**state.step
     for name, tensor in named_params:
-        g = tensor.grad
+        g = 0.0 if tensor.grad is None else tensor.grad
         m = state.m[name]
         v = state.v[name]
-        if m.shape != g.shape:
+        if m.shape != tensor.shape:
             raise ValueError(
-                f"adam buffer for {name} has shape {m.shape}, parameter has {g.shape}"
+                f"adam buffer for {name} has shape {m.shape}, parameter has {tensor.shape}"
             )
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         tensor.data -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
-        tensor.grad[...] = 0.0
+        tensor.grad = None
 
 
 @dataclass

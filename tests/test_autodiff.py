@@ -184,6 +184,23 @@ class TestMaskedSoftmaxBitIdentity:
         got = ad.softmax(ad.Tensor(z), axis=-1, mask=mask).data
         np.testing.assert_array_equal(got, softmax_exp_of_fills(z, -1, mask))
 
+    @pytest.mark.parametrize(
+        "z", [z for z, _ in _MASKED_SOFTMAX_CASES.values()], ids=list(_MASKED_SOFTMAX_CASES)
+    )
+    def test_no_mask_is_the_all_true_mask(self, z):
+        """Forward and backward, bit for bit."""
+        w = np.random.default_rng(33).normal(size=z.shape)
+        runs = []
+        for mask in (None, np.ones(z.shape, dtype=bool)):
+            x = ad.Tensor(z, requires_grad=True)
+            with np.errstate(invalid="ignore"), ad.Tape() as tape:
+                out = ad.softmax(x, axis=-1, mask=mask)
+                loss = ad.reduce_sum(ad.mul(out, ad.Tensor(w)))
+            with np.errstate(invalid="ignore"):
+                ad.backward(loss, tape)
+            runs.append((out.data.tobytes(), x.grad.tobytes()))
+        assert runs[0] == runs[1]
+
     def test_unmasked_non_finite_scores_match_too(self):
         z = np.array([[np.inf, 1.0, 2.0], [np.nan, 1.0, 2.0]])
         mask = np.ones((2, 3), dtype=bool)
@@ -595,9 +612,21 @@ class TestBackward:
             side = ad.reduce_sum(ad.tanh(ad.mul(unused, w)))  # never reaches loss
             loss = ad.reduce_sum(ad.mul(w, w))
         ad.backward(loss, tape)
-        np.testing.assert_array_equal(unused.grad, 0.0)
+        assert unused.grad is None
         np.testing.assert_array_equal(w.grad, 2.0)
         assert side.grad is None
+
+    def test_fresh_parameter_has_no_gradient_buffer(self):
+        assert ad.parameter(np.random.default_rng(0), (2, 3), fan_in=3).grad is None
+        assert ad.Tensor(np.ones(2), requires_grad=True).grad is None
+
+    def test_leaf_loss_accumulates_one_per_backward(self):
+        loss = ad.Tensor(np.array(3.0), requires_grad=True)
+        with ad.Tape() as tape:
+            pass
+        for want in (1.0, 2.0):
+            ad.backward(loss, tape)
+            assert loss.grad == want
 
     def test_add_operands_get_separate_gradient_buffers(self):
         x = ad.Tensor(np.array([0.3, -0.7]), requires_grad=True)

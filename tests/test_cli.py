@@ -330,6 +330,65 @@ class TestExitCodes:
         assert rc == 2 and "10000" in err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("kind", ["vocab", "categories", "dataset"])
+    def test_undecodable_input_file_exits_2_naming_it(self, tmp_path, capsys, tiny_data, kind):
+        flag, name, text = {
+            "vocab": ("--vocab-file", "vocab.txt", b"a\n\xff\n"),
+            "categories": ("--categories-file", "cats.tsv", b"0\t\xff\xfe\tx\n"),
+            "dataset": ("--train-file", "train.tsv", b"ab\t0\n\xff\t0\n"),
+        }[kind]
+        bad = tmp_path / "in" / name
+        bad.parent.mkdir()
+        bad.write_bytes(text)
+        argv = train_argv(tiny_data, tmp_path)
+        argv[argv.index(flag) + 1] = str(bad)
+        rc, err = self.run(capsys, [*argv, *TINY_MODEL])
+        assert rc == 2 and str(bad) in err and "UTF-8" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_directory_as_checkpoint_exits_2(self, tmp_path, capsys, tiny_data):
+        rc, err = self.run(capsys, [
+            "predict",
+            "--checkpoint", str(tmp_path),
+            "--categories-file", str(tiny_data / "categories.tsv"),
+            "--vocab-file", str(tiny_data / "vocab.txt"),
+            "--query", "abc",
+        ])
+        assert rc == 2 and str(tmp_path) in err
+
+    def test_unwritable_output_path_exits_2_before_any_work(self, tmp_path, capsys, tiny_data):
+        """A missing directory or a directory as the path, checked for every
+        output before the inputs are read, so nothing is written."""
+        ghost = tmp_path / "nodir"
+        argv = train_argv(tiny_data, tmp_path)
+        argv[argv.index("--checkpoint-out") + 1] = str(ghost / "m.ckpt")
+        rc, err = self.run(capsys, [*argv, *TINY_MODEL])
+        assert rc == 2 and f"no such directory: {ghost} " in err
+        assert not (tmp_path / "l.tsv").exists()
+
+        argv = train_argv(tiny_data, tmp_path)
+        argv[argv.index("--loss-log") + 1] = str(tmp_path)
+        rc, err = self.run(capsys, [*argv, *TINY_MODEL])
+        assert rc == 2 and f"output {tmp_path} is a directory" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+        ckpt, _ = train(tmp_path / "run", tiny_data)
+        outputs = {name: tmp_path / name for name in ("report.txt", "records.tsv")}
+        rc, err = self.run(capsys, [
+            "eval",
+            "--checkpoint", str(ckpt),
+            "--data-file", str(tiny_data / "test.tsv"),
+            "--categories-file", str(tiny_data / "categories.tsv"),
+            "--vocab-file", str(tiny_data / "vocab.txt"),
+            "--report-out", str(outputs["report.txt"]),
+            "--records-out", str(outputs["records.tsv"]),
+            "--ablation", "--train-file", str(tiny_data / "train.tsv"),
+            "--ablation-out", str(ghost / "a.txt"),
+        ])
+        assert rc == 2 and f"no such directory: {ghost} " in err
+        assert not any(p.exists() for p in outputs.values())
+        assert not ghost.exists()
+
 
 class TestEval:
     def run_eval(self, tmp_path, data, ckpt, extra=(), data_file=None):
@@ -473,6 +532,32 @@ class TestEval:
         assert "run_config" in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
         assert not (tmp_path / "records.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("epochs", 2.9), ("lr", "0.002"), ("seed", True)], ids=str
+    )
+    def test_ablation_run_config_value_of_the_wrong_type_exits_3(
+        self, tmp_path, capsys, key, value
+    ):
+        """No coercion: 2.9 epochs is not 2, "0.002" is not a number, true is not 1."""
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        vocab = load_vocab(data / "vocab.txt")
+        cats = load_categories(data / "categories.tsv", vocab)
+        loaded = load_checkpoint(ckpt, vocab, cats)
+        run_config = {**loaded.extra["run_config"], key: value}
+        save_checkpoint(ckpt, loaded.model, vocab, cats, extra={"run_config": run_config})
+        capsys.readouterr()
+        rc, report, records = self.run_eval(
+            tmp_path, data, ckpt,
+            extra=["--ablation", "--train-file", str(data / "train.tsv"),
+                   "--ablation-out", str(tmp_path / "ablation.txt")],
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"run_config: {key} is" in err
+        assert not report.exists() and not records.exists()
 
     def test_run_config_not_an_object_exits_3_in_eval_and_predict(self, tmp_path, capsys):
         data = gen(tmp_path)

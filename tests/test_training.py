@@ -46,7 +46,7 @@ class TestAdam:
         for g in (3.0, -0.5, 1e-3):
             w = scalar_param(0.0)
             state = AdamState.for_params([("w", w)], lr=0.01)
-            w.grad[:] = g
+            w.grad = np.full(w.shape, g)
             adam_step([("w", w)], state)
             assert w.data.item() == pytest.approx(-0.01 * np.sign(g), rel=1e-4)
 
@@ -70,9 +70,23 @@ class TestAdam:
     def test_gradients_zeroed_after_step(self):
         w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
         state = AdamState.for_params([("w", w)], lr=0.1)
-        w.grad[:] = 7.0
+        w.grad = np.full(w.shape, 7.0)
         adam_step([("w", w)], state)
-        assert np.all(w.grad == 0.0)
+        assert w.grad is None
+
+    def test_missing_gradient_steps_like_an_explicit_zero(self):
+        """The moments decay bit for bit as under a zero gradient buffer."""
+        results = []
+        for zero in (None, np.zeros((2, 3))):
+            w = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+            state = AdamState.for_params([("w", w)], lr=0.1)
+            w.grad = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+            adam_step([("w", w)], state)
+            w.grad = zero
+            adam_step([("w", w)], state)
+            results.append([a.tobytes() for a in (w.data, state.m["w"], state.v["w"])])
+            assert w.grad is None
+        assert results[0] == results[1]
 
     def test_buffer_shape_mismatch_rejected(self):
         w = ad.Tensor(np.ones(3), requires_grad=True)
@@ -281,11 +295,11 @@ class TestMapTiles:
         monkeypatch.setattr(model_module, "MAP_TILE", 3)  # one query's 3 maps per tile
         lengths = []
         monkeypatch.setattr(training.ad, "backward", lambda loss, tape: lengths.append(len(tape)))
-        for tiles in (2, 3, 4, 5):
+        for tiles in (1, 2, 3, 4, 5):
             batch_gradients(model, data.train[:tiles], data.categories)
         # a tile is its slice, conv/pool/ReLU per conv block, and its flatten
         per_tile = 2 + 3 * model.config.conv_blocks
-        assert np.diff(lengths).tolist() == [per_tile] * 3
+        assert np.diff(lengths).tolist() == [per_tile] * 4
 
 
 def rewrite_header(path, mutate):
