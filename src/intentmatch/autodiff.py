@@ -145,7 +145,7 @@ def _record(out, inputs, backward_fn):
 
 
 def _accumulate(t, g, index=None, copy=False):
-    """Add `g` into `t.grad`, or into `t.grad[index]` with repeats adding up.
+    """Add `g` into `t.grad`, or into `t.grad[index]`: ids repeat and add up, a slice takes `+=`.
 
     The buffer is allocated here, on the first accumulation into it: zeros
     before an indexed add, otherwise `g` itself becomes the buffer.  That
@@ -157,7 +157,10 @@ def _accumulate(t, g, index=None, copy=False):
     if index is not None:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        np.add.at(t.grad, index, g)
+        if isinstance(index, slice):
+            t.grad[index] += g
+        else:
+            np.add.at(t.grad, index, g)
     elif t.grad is not None:
         t.grad += g
     elif copy or not g.flags.writeable:
@@ -297,9 +300,7 @@ def slice_rows(a, lo, hi):
     out = Tensor(a.data[lo:hi])
 
     def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[lo:hi] += g
+        _accumulate(a, g, slice(lo, hi))
 
     return _record(out, (a,), bw)
 

@@ -7,12 +7,15 @@ and `gen` writes a sidecar run.json (the dataset files themselves have a
 fixed line format with no room for headers).  Every file is written
 atomically.  The `gen` and `train` flags are generated from the fields, and
 take the defaults, of `SyntheticConfig` and of `ModelConfig`/`TrainConfig`.
+Each config dataclass checks its own field values, so flags, checkpoint
+headers and the run_config `eval --ablation-out` retrains from meet one rule.
 
 Exit codes (`_EXIT_CODES`): 0 success; 2 a file that cannot be read or
 written, or an invalid flag, config, dataset, vocab or category file; 3 an
-unreadable or mismatched checkpoint; 4 training diverged (a NaN or infinite
-loss or parameter), in which case `train` writes neither the checkpoint nor
-the loss log.
+unreadable, malformed or mismatched checkpoint, a header field of the wrong
+JSON type included; 4 training diverged (a NaN or infinite loss or
+parameter), in which case `train` writes neither the checkpoint nor the
+loss log.
 """
 
 from __future__ import annotations
@@ -85,11 +88,10 @@ def _add_config_flags(p, cls, skip=()):
         p.add_argument(flag, dest=f.name, default=f.default, **kwargs)
 
 
-def _config_from_args(cls, args, **fixed):
-    """A config dataclass from the fields the parsed flags hold, plus `fixed` ones."""
-    given = vars(args)
-    names = [f.name for f in dataclasses.fields(cls) if f.name in given]
-    return cls(**{name: given[name] for name in names}, **fixed)
+def _config_from(cls, values, **fixed):
+    """A config dataclass from the fields the mapping `values` holds (other keys are ignored)."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name in values]
+    return cls(**{name: values[name] for name in names}, **fixed)
 
 
 def make_parser():
@@ -121,10 +123,9 @@ def make_parser():
     e.add_argument("--report-out", required=True)
     e.add_argument("--records-out", required=True)
     e.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    e.add_argument("--ablation", action="store_true",
-                   help="retrain full model and all ablations, write a comparison table")
-    e.add_argument("--train-file", help="training data, required with --ablation")
-    e.add_argument("--ablation-out", help="table path, required with --ablation")
+    e.add_argument("--ablation-out", help="retrain the full model and each ablation on "
+                   "--train-file and write their comparison table here")
+    e.add_argument("--train-file", help="training data, required with --ablation-out")
 
     q = sub.add_parser("predict", help="rank categories for one query")
     q.add_argument("--checkpoint", required=True)
@@ -136,7 +137,7 @@ def make_parser():
 
 
 def cmd_gen(args):
-    cfg = _config_from_args(SyntheticConfig, args)
+    cfg = _config_from(SyntheticConfig, vars(args))
     data = generate_synthetic(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,11 +154,11 @@ def cmd_gen(args):
 
 def cmd_train(args):
     check_output_paths(args.checkpoint_out, args.loss_log)
-    tc = _config_from_args(TrainConfig, args)
+    tc = _config_from(TrainConfig, vars(args))
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
-    config = _config_from_args(
-        ModelConfig, args, vocab_size=len(vocab), num_categories=len(cats)
+    config = _config_from(
+        ModelConfig, vars(args), vocab_size=len(vocab), num_categories=len(cats)
     )
     data = load_dataset(args.train_file, vocab, len(cats), l_max=config.l_q)
     model = Model(config, np.random.default_rng(tc.seed))
@@ -189,43 +190,23 @@ def _config_header_lines(extra, threshold):
     ]
 
 
-def _train_config_from_run_config(run_cfg, checkpoint):
-    """The TrainConfig a checkpoint's run_config records.
-
-    A value is taken only when its JSON type is the field's: an integer for
-    an int field, an integer or a real for a float field, never a boolean.
-    Keys that are not TrainConfig fields (older checkpoints carry some) are
-    ignored.
-    """
-    values = {}
-    for f in dataclasses.fields(TrainConfig):
-        if f.name not in run_cfg:
-            continue
-        value, kind = run_cfg[f.name], type(f.default)
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            raise CorruptCheckpointError(
-                f"{checkpoint}: bad run_config: {f.name} is {value!r}, expected {kind.__name__}"
-            )
-        values[f.name] = value
-    try:
-        return TrainConfig(**values)
-    except (ConfigError, OverflowError) as exc:  # OverflowError: an int lr beyond float range
-        raise CorruptCheckpointError(f"{checkpoint}: bad run_config: {exc}") from exc
-
-
 def cmd_eval(args):
-    if args.ablation and not (args.train_file and args.ablation_out):
-        raise ConfigError("--ablation requires --train-file and --ablation-out")
-    ablation_out = [args.ablation_out] if args.ablation else []
-    check_output_paths(args.report_out, args.records_out, *ablation_out)
+    ablation = args.ablation_out is not None
+    if ablation != (args.train_file is not None):
+        raise ConfigError("--ablation-out and --train-file must be given together")
+    outputs = [args.report_out, args.records_out] + ([args.ablation_out] if ablation else [])
+    check_output_paths(*outputs)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
     model = loaded.model
     run_cfg = loaded.extra.get("run_config", {})
-    if args.ablation:
+    if ablation:
         # retrain with the settings the checkpoint was built with
-        tc = _train_config_from_run_config(run_cfg, args.checkpoint)
+        try:
+            tc = _config_from(TrainConfig, run_cfg)
+        except (ConfigError, OverflowError) as exc:  # OverflowError: an int lr beyond float range
+            raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
         train_data = load_dataset(args.train_file, vocab, len(cats), l_max=model.config.l_q)
     data = load_dataset(args.data_file, vocab, len(cats), l_max=model.config.l_q)
     report = evaluate(model, data, cats, threshold=args.threshold)
@@ -241,7 +222,7 @@ def cmd_eval(args):
     write_text(args.records_out, run_rows + records)
     print(render_text_report(report), end="")
 
-    if args.ablation:
+    if ablation:
         base = dataclasses.replace(model.config, variant="full")
         results = run_ablation_suite(train_data, data, cats, base, tc, tc.seed, args.threshold)
         table = "".join(h + "\n" for h in header) + "\n" + render_ablation_table(results)

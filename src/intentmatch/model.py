@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoder import EncoderParams, encode, length_mask
-from .errors import ConfigError, check_minimums
+from .errors import ConfigError, check_fields
 from .textdata import TokenSequence, assemble_category_text
 
 VARIANTS = ("full", "no_self", "no_char", "no_semantic")
@@ -36,6 +36,8 @@ VARIANTS = ("full", "no_self", "no_char", "no_semantic")
 # Interaction maps per pass through the conv/pool stack: few enough that a
 # tile's conv output, pool and ReLU stay in cache from one op to the next.
 MAP_TILE = 128
+
+_PAIRS = ("conv_window", "conv_stride", "pool_window", "pool_stride")
 
 
 @dataclass
@@ -49,31 +51,25 @@ class ModelConfig:
     encoder_heads: int = 4
     encoder_ffn: int = field(default=0, metadata={"help": "0 means 4*d"})
     conv_filters: int = 8
-    conv_window: tuple = (3, 3)
-    conv_stride: tuple = (1, 1)
-    pool_window: tuple = (2, 2)
-    pool_stride: tuple = (2, 2)
+    conv_window: tuple[int, int] = (3, 3)
+    conv_stride: tuple[int, int] = (1, 1)
+    pool_window: tuple[int, int] = (2, 2)
+    pool_stride: tuple[int, int] = (2, 2)
     conv_blocks: int = 2
     variant: str = field(default="full", metadata={"choices": VARIANTS})
 
     def __post_init__(self):
-        self.conv_window = tuple(self.conv_window)
-        self.conv_stride = tuple(self.conv_stride)
-        self.pool_window = tuple(self.pool_window)
-        self.pool_stride = tuple(self.pool_stride)
+        for name in _PAIRS:
+            if isinstance(getattr(self, name), list):  # JSON has no tuples
+                setattr(self, name, tuple(getattr(self, name)))
+        check_fields(self, dict(
+            num_categories=1, d=1, l_q=1, l_c=1, encoder_layers=0, encoder_heads=1,
+            encoder_ffn=0, conv_filters=1, conv_blocks=1, **dict.fromkeys(_PAIRS, 1),
+        ))
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.num_categories < 1:
-            raise ConfigError("need at least one category")
         if self.vocab_size < 2:
             raise ConfigError("vocab must include at least PAD and UNK")
-        check_minimums(self, dict(
-            d=1, l_q=1, l_c=1, encoder_layers=0, encoder_heads=1, encoder_ffn=0,
-            conv_filters=1, conv_blocks=1,
-        ))
-        for name in ("conv_window", "conv_stride", "pool_window", "pool_stride"):
-            if min(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.encoder_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by encoder_heads={self.encoder_heads}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_minimums
+from .errors import ConfigError, check_fields
 from .model import ModelConfig
 from .textdata import (
     CategorySet,
@@ -59,14 +59,12 @@ class SyntheticConfig:
     query_l_max: int = ModelConfig.l_q
 
     def __post_init__(self):
-        if self.num_categories < 2:
-            raise ConfigError(f"need at least 2 categories, got {self.num_categories}")
+        check_fields(self, dict(num_categories=2, queries_per_category=1, query_len_min=1, seed=0))
         if min(CORE_TOKENS_PER_CATEGORY, self.vocab_size // self.num_categories) < 2:
             raise ConfigError(
                 f"vocab of {self.vocab_size} cannot give {self.num_categories} categories "
                 f">= 2 disjoint core tokens each"
             )
-        check_minimums(self, dict(queries_per_category=1, query_len_min=1, seed=0))
         if self.query_len_max < self.query_len_min:
             raise ConfigError(
                 f"query_len_max {self.query_len_max} is below query_len_min {self.query_len_min}"

@@ -27,7 +27,7 @@ from .errors import (
     CorruptCheckpointError,
     NonFiniteError,
     VersionMismatchError,
-    check_minimums,
+    check_fields,
 )
 from .model import Model, ModelConfig, multilabel_loss
 from .textdata import atomic_output
@@ -47,6 +47,9 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self, dict(step=0))
 
     @classmethod
     def for_params(cls, named_params, lr):
@@ -89,7 +92,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_minimums(self, dict(batch_size=1, epochs=0, seed=0))
+        check_fields(self, dict(batch_size=1, epochs=0, seed=0))
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number above 0, got {self.lr}")
 
@@ -269,16 +272,19 @@ def load_checkpoint(path, vocab, cats):
         raise CorruptCheckpointError(f"{path}: unreadable config block: {exc}") from exc
 
     model_cfg = _header_value(path, header, "model")
-    num_categories = _header_value(path, model_cfg, "num_categories", '"model" block')
-    if num_categories != len(cats):
+    try:
+        model = Model(ModelConfig(**model_cfg), np.random.default_rng(0))
+    except (TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(f'{path}: bad "model" block: {exc}') from exc
+    config = model.config
+    if config.num_categories != len(cats):
         raise ConfigMismatchError(
-            f"checkpoint built for {num_categories} categories, "
+            f"checkpoint built for {config.num_categories} categories, "
             f"category set has {len(cats)}"
         )
-    vocab_size = _header_value(path, model_cfg, "vocab_size", '"model" block')
-    if vocab_size != len(vocab):
+    if config.vocab_size != len(vocab):
         raise ConfigMismatchError(
-            f"checkpoint built for vocab size {vocab_size}, vocab file has {len(vocab)}"
+            f"checkpoint built for vocab size {config.vocab_size}, vocab file has {len(vocab)}"
         )
     vocab_sha = _header_value(path, header, "vocab_sha256")
     if vocab_sha != vocab.fingerprint():
@@ -293,10 +299,6 @@ def load_checkpoint(path, vocab, cats):
             f"{cats_sha!s:.12}..., loaded set {cats.fingerprint()[:12]}..."
         )
 
-    try:
-        model = Model(ModelConfig(**model_cfg), np.random.default_rng(0))
-    except (TypeError, ValueError) as exc:
-        raise CorruptCheckpointError(f'{path}: bad "model" block: {exc}') from exc
     named = model.parameters()
     if _manifest(named) != _header_value(path, header, "params"):
         raise CorruptCheckpointError(
@@ -308,9 +310,14 @@ def load_checkpoint(path, vocab, cats):
     adam_state = None
     opt = _header_value(path, header, "optimizer")
     if opt is not None:
-        adam_state = AdamState(**{
-            key: _header_value(path, opt, key, '"optimizer" block') for key in _ADAM_HEADER
-        })
+        algo = _header_value(path, opt, "algo", '"optimizer" block')
+        if algo != "adam":
+            raise CorruptCheckpointError(f'{path}: "optimizer" block: unknown algo {algo!r}')
+        values = {key: _header_value(path, opt, key, '"optimizer" block') for key in _ADAM_HEADER}
+        try:
+            adam_state = AdamState(**values)
+        except ConfigError as exc:
+            raise CorruptCheckpointError(f'{path}: bad "optimizer" block: {exc}') from exc
         for name, tensor in named:
             adam_state.m[name] = r.tensor(tensor.shape, f"adam m[{name}]")
             adam_state.v[name] = r.tensor(tensor.shape, f"adam v[{name}]")

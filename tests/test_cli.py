@@ -382,7 +382,7 @@ class TestExitCodes:
             "--vocab-file", str(tiny_data / "vocab.txt"),
             "--report-out", str(outputs["report.txt"]),
             "--records-out", str(outputs["records.tsv"]),
-            "--ablation", "--train-file", str(tiny_data / "train.tsv"),
+            "--train-file", str(tiny_data / "train.tsv"),
             "--ablation-out", str(ghost / "a.txt"),
         ])
         assert rc == 2 and f"no such directory: {ghost} " in err
@@ -449,7 +449,7 @@ class TestEval:
         table_path = tmp_path / "ablation.txt"
         rc, _, _ = self.run_eval(
             tmp_path, data, ckpt,
-            extra=["--ablation", "--train-file", str(data / "train.tsv"),
+            extra=["--train-file", str(data / "train.tsv"),
                    "--ablation-out", str(table_path)],
         )
         assert rc == 0
@@ -464,7 +464,7 @@ class TestEval:
         table_path = tmp_path / "ablation.txt"
         rc, _, records = self.run_eval(
             tmp_path, data, ckpt,
-            extra=["--threshold", "0.05", "--ablation", "--train-file",
+            extra=["--threshold", "0.05", "--train-file",
                    str(data / "train.tsv"), "--ablation-out", str(table_path)],
         )
         assert rc == 0
@@ -508,7 +508,7 @@ class TestEval:
         table_path = tmp_path / "ablation.txt"
         rc, _, _ = self.run_eval(
             tmp_path, data, old,
-            extra=["--ablation", "--train-file", str(data / "train.tsv"),
+            extra=["--train-file", str(data / "train.tsv"),
                    "--ablation-out", str(table_path)],
         )
         assert rc == 0
@@ -525,7 +525,7 @@ class TestEval:
         capsys.readouterr()
         rc, _, _ = self.run_eval(
             tmp_path, data, ckpt,
-            extra=["--ablation", "--train-file", str(data / "train.tsv"),
+            extra=["--train-file", str(data / "train.tsv"),
                    "--ablation-out", str(tmp_path / "ablation.txt")],
         )
         assert rc == 3
@@ -550,7 +550,7 @@ class TestEval:
         capsys.readouterr()
         rc, report, records = self.run_eval(
             tmp_path, data, ckpt,
-            extra=["--ablation", "--train-file", str(data / "train.tsv"),
+            extra=["--train-file", str(data / "train.tsv"),
                    "--ablation-out", str(tmp_path / "ablation.txt")],
         )
         err = capsys.readouterr().err
@@ -585,9 +585,24 @@ class TestEval:
     def test_ablation_without_train_file_is_an_error(self, tmp_path, capsys):
         data = gen(tmp_path)
         ckpt, _ = train(tmp_path, data)
-        rc, report, records = self.run_eval(tmp_path, data, ckpt, extra=["--ablation"])
+        rc, report, records = self.run_eval(
+            tmp_path, data, ckpt, extra=["--ablation-out", str(tmp_path / "ablation.txt")]
+        )
         assert rc == 2
         assert "--train-file" in capsys.readouterr().err
+        assert not report.exists() and not records.exists()
+
+    def test_train_file_without_ablation_out_is_an_error_before_any_input(
+        self, tmp_path, capsys
+    ):
+        """No input exists here, so any read would fail with another message."""
+        rc, report, records = self.run_eval(
+            tmp_path, tmp_path, tmp_path / "ghost.ckpt",
+            extra=["--train-file", str(tmp_path / "ghost.tsv")],
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--ablation-out and --train-file" in err
         assert not report.exists() and not records.exists()
 
     @pytest.mark.parametrize("empty", ["data", "train"])
@@ -601,7 +616,7 @@ class TestEval:
         capsys.readouterr()
         rc, report, records = self.run_eval(
             tmp_path, data, ckpt,
-            extra=["--ablation", "--train-file", str(train_file), "--ablation-out", str(table)],
+            extra=["--train-file", str(train_file), "--ablation-out", str(table)],
             data_file=blank if empty == "data" else None,
         )
         err = capsys.readouterr().err

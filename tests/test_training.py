@@ -1,11 +1,13 @@
-"""Training loop, Adam, and checkpoint format tests."""
+"""Training loop, Adam, config field, and checkpoint format tests."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from intentmatch import autodiff as ad
+from intentmatch.cli import main
 from intentmatch.errors import (
     ConfigError,
     ConfigMismatchError,
@@ -16,7 +18,7 @@ from intentmatch.errors import (
 from intentmatch import model as model_module, training
 from intentmatch.model import VARIANTS, Model, ModelConfig, multilabel_loss
 from intentmatch.synthetic import SyntheticConfig, generate_synthetic
-from intentmatch.textdata import Vocab
+from intentmatch.textdata import Vocab, save_categories, save_vocab
 from intentmatch.training import (
     CHECKPOINT_MAGIC,
     AdamState,
@@ -575,3 +577,139 @@ class TestCheckpoint:
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"MMAN"
+
+
+class TestCheckFields:
+    """Every config dataclass checks its fields against their annotations."""
+
+    @pytest.mark.parametrize("field", ["epochs", "lr"])
+    def test_bool_is_not_a_number(self, field):
+        with pytest.raises(ConfigError, match=f"{field} is True, expected"):
+            TrainConfig(**{field: True})
+
+    def test_numpy_integers_pass(self):
+        n = np.int64
+        cfg = ModelConfig(vocab_size=n(8), num_categories=n(2), d=n(8), conv_window=(n(3), n(3)))
+        assert cfg.conv_window == (3, 3)
+        assert TrainConfig(epochs=n(2), lr=n(1)).epochs == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ModelConfig(vocab_size=2, num_categories=1),
+            TrainConfig,
+            SyntheticConfig,
+            lambda: AdamState(lr=0.1),
+        ],
+        ids=["ModelConfig", "TrainConfig", "SyntheticConfig", "AdamState"],
+    )
+    def test_defaults_pass(self, build):
+        """Fails for an annotation the check does not know."""
+        build()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"conv_stride": (1, 0)}, "conv_stride must be at least 1"),
+            ({"pool_window": (2, 2, 2)}, r"pool_window is \(2, 2, 2\), expected tuple\["),
+            ({"conv_window": "33"}, "conv_window is '33'"),
+            ({"num_categories": 0}, "num_categories must be at least 1"),
+        ],
+    )
+    def test_model_pairs_and_minimums(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(vocab_size=8, **{"num_categories": 2, **overrides})
+
+    def test_synthetic_needs_two_categories(self):
+        with pytest.raises(ConfigError, match="num_categories must be at least 2"):
+            SyntheticConfig(num_categories=1)
+
+
+# a value of each JSON kind, wrong for every "model" and "optimizer" field
+WRONG_KINDS = {"true": True, "false": False, "null": None, "string": "7",
+               "object": {"a": 1}, "list": [7]}
+# wrong values of the right JSON kind, made from the stored value
+WRONG_BY_ANNOTATION = {
+    "int": {"float": float},
+    "tuple[int, int]": {
+        "float pair": lambda v: [float(x) for x in v],
+        "three": lambda v: [*v, 1],
+        "empty": lambda v: [],
+    },
+}
+
+
+def header_retypes():
+    """(block, key, retype) for every field of the header's two config blocks."""
+    adam_fields = [f for f in dataclasses.fields(AdamState) if f.name in training._ADAM_HEADER]
+    fields = [("model", f.name, f.type) for f in dataclasses.fields(ModelConfig)]
+    fields += [("optimizer", "algo", "str")]
+    fields += [("optimizer", f.name, f.type) for f in adam_fields]
+    for block, key, annotation in fields:
+        for kind, value in WRONG_KINDS.items():
+            yield pytest.param(block, key, lambda v, value=value: value, id=f"{key}={kind}")
+        for kind, retype in WRONG_BY_ANNOTATION.get(annotation, {}).items():
+            yield pytest.param(block, key, retype, id=f"{key}={kind}")
+
+
+@pytest.fixture(scope="module")
+def trained_files(tmp_path_factory):
+    """A tiny trained checkpoint with its vocab and category files."""
+    model, data = tiny_setup()
+    _, state = train(model, data.train, data.categories, TrainConfig(epochs=1, lr=1e-3))
+    root = tmp_path_factory.mktemp("trained")
+    save_vocab(root / "vocab.txt", data.vocab)
+    save_categories(root / "categories.tsv", data.categories)
+    save_checkpoint(root / "m.ckpt", model, data.vocab, data.categories, state)
+    return root, data
+
+
+def retyped_copy(trained_files, tmp_path, block, key, retype):
+    root, _ = trained_files
+    path = tmp_path / "m.ckpt"
+    path.write_bytes((root / "m.ckpt").read_bytes())
+    rewrite_header(path, lambda h: {**h, block: {**h[block], key: retype(h[block][key])}})
+    return path
+
+
+class TestHeaderFieldTypes:
+    @pytest.mark.parametrize("block, key, retype", header_retypes())
+    def test_retyped_field_is_corrupt_naming_it(self, trained_files, tmp_path, block, key, retype):
+        path = retyped_copy(trained_files, tmp_path, block, key, retype)
+        _, data = trained_files
+        with pytest.raises(CorruptCheckpointError, match=key) as info:
+            load_checkpoint(path, data.vocab, data.categories)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("model", "encoder_heads", True), ("model", "encoder_heads", 4.0),
+         ("model", "encoder_ffn", False), ("optimizer", "lr", "0.001")],
+        ids=str,
+    )
+    def test_predict_exits_3_with_one_line(
+        self, trained_files, tmp_path, capsys, block, key, value
+    ):
+        path = retyped_copy(trained_files, tmp_path, block, key, lambda v: value)
+        root, _ = trained_files
+        rc = main([
+            "predict", "--checkpoint", str(path), "--query", "abc",
+            "--categories-file", str(root / "categories.tsv"),
+            "--vocab-file", str(root / "vocab.txt"),
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("optimizer", "lr", 1), ("optimizer", "eps", 0), ("model", "conv_stride", [1, 1])],
+        ids=str,
+    )
+    def test_right_kinds_still_load(self, trained_files, tmp_path, block, key, value):
+        """An int for a float field; a JSON list for a pair."""
+        path = retyped_copy(trained_files, tmp_path, block, key, lambda v: value)
+        _, data = trained_files
+        loaded = load_checkpoint(path, data.vocab, data.categories)
+        holder = loaded.adam_state if block == "optimizer" else loaded.model.config
+        assert getattr(holder, key) == (tuple(value) if isinstance(value, list) else value)
