@@ -131,13 +131,18 @@ class Params:
         return list(self._named)
 
 
+def _taping(inputs):
+    """Whether an op on `inputs` is recorded: a tape is active and some input carries gradient."""
+    return _tape is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(out, inputs, backward_fn):
     """Attach `out` to the active tape when any input carries gradient.
 
     A node is recorded only then, so the backward of a single-input op runs
     only for an input that requires grad and does not test for it.
     """
-    if _tape is None or not any(t.requires_grad for t in inputs):
+    if not _taping(inputs):
         return out
     out.requires_grad = True
     _tape.nodes.append(_Node(out, backward_fn))
@@ -145,7 +150,7 @@ def _record(out, inputs, backward_fn):
 
 
 def _accumulate(t, g, index=None, copy=False):
-    """Add `g` into `t.grad`, or into `t.grad[index]`: ids repeat and add up, a slice takes `+=`.
+    """Add `g` into `t.grad`, or into `t.grad[index]`: an id array's repeats add up, slices take `+=`.
 
     The buffer is allocated here, on the first accumulation into it: zeros
     before an indexed add, otherwise `g` itself becomes the buffer.  That
@@ -157,10 +162,10 @@ def _accumulate(t, g, index=None, copy=False):
     if index is not None:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        if isinstance(index, slice):
-            t.grad[index] += g
-        else:
+        if isinstance(index, np.ndarray):
             np.add.at(t.grad, index, g)
+        else:
+            t.grad[index] += g
     elif t.grad is not None:
         t.grad += g
     elif copy or not g.flags.writeable:
@@ -295,12 +300,13 @@ def concat(tensors, axis=0):
     return _record(out, tuple(tensors), bw)
 
 
-def slice_rows(a, lo, hi):
-    """Rows lo:hi of `a` along axis 0, as a view; backward adds into that row range."""
-    out = Tensor(a.data[lo:hi])
+def slice_rows(a, lo, hi, axis=0):
+    """Rows lo:hi of `a` along `axis`, as a view; backward adds into that row range."""
+    index = (slice(None),) * axis + (slice(lo, hi),)
+    out = Tensor(a.data[index])
 
     def bw(g):
-        _accumulate(a, g, slice(lo, hi))
+        _accumulate(a, g, index)
 
     return _record(out, (a,), bw)
 
@@ -456,6 +462,12 @@ def window_grid(size, window, stride):
     return (h - kh) // sh + 1, (w - kw) // sw + 1
 
 
+def window_extent(grid, window, stride):
+    """(h, w) of the input a (rows, cols) grid of windows reads: the inverse of `window_grid`."""
+    (rows, cols), (kh, kw), (sh, sw) = grid, window, stride
+    return (rows - 1) * sh + kh, (cols - 1) * sw + kw
+
+
 def _tap(a, b, grid, stride):
     """[C, rows, cols] slices picking each window's element at offset (a, b)."""
     (ho, wo), (sh, sw) = grid, stride
@@ -472,19 +484,28 @@ def _from_batch_innermost(buf):
     return buf.transpose(3, 0, 1, 2)
 
 
-def conv2d(x, kernels, bias, stride=(1, 1)):
-    """Valid cross-correlation (no kernel flip, no zero padding).
+def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
+    """Valid cross-correlation (no kernel flip, no zero padding), max-pooled by `pool`.
 
-    x: [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw]; bias: [C_out].
-    out[n,o,i,j] = bias[o] + sum_{c,a,b} kernels[o,c,a,b] * x[n,c,i*sh+a,j*sw+b]
+    x: [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw]; bias: [C_out];
+    pool: (window, stride) of a max-pool over the correlation map, partial
+    trailing windows dropped; the default 1x1 window leaves the map as it is.
+    conv[n,o,i,j] = bias[o] + sum_{c,a,b} kernels[o,c,a,b] * x[n,c,i*sh+a,j*sw+b]
+
+    The result is `maxpool2d(conv2d(x, kernels, bias, stride), *pool)`, but
+    the correlation map never exists: for each pool offset, in row-major
+    order, one matmul computes only the positions that offset reads and a
+    running maximum folds them in.  A taped call keeps each window's first
+    maximum offset (ph*pw for a NaN window, which routes no gradient);
+    backward masks the gradient by it, offset by offset.
 
     The shapes are logical: the work runs on a batch-innermost [C,H,W,N]
     memory layout, so every slice copy and strided add covers contiguous
     runs of N.  The input is brought to that layout once (free when it
-    already has it) and the output is the [N,C_out,ho,wo] view of a
-    [C_out,ho,wo,N] buffer.  The product is one matmul against window
-    columns [C_in*kh*kw, ho*wo*N], rebuilt in backward rather than kept;
-    their size grows with N, so callers bound it by passing tiles of maps.
+    already has it) and the output is the [N,C_out,po,qo] view of a
+    [C_out,po,qo,N] buffer.  Each offset's window columns [C_in*kh*kw,
+    po*qo*N] are one copy out of a strided view, rebuilt in backward rather
+    than kept; their size grows with N, so callers pass tiles of maps.
     """
     _require_4d("conv2d", x)
     xd, kd = x.data, kernels.data
@@ -494,36 +515,64 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
     cout, kcin, kh, kw = kd.shape
     if kcin != cin:
         raise DimensionError(f"conv2d channel mismatch: input has {cin}, kernels expect {kcin}")
-    grid = ho, wo = window_grid((h, w), (kh, kw), stride)
+    (sh, sw), ((ph, pw), (th, tw)) = stride, pool
+    po, qo = window_grid(window_grid((h, w), (kh, kw), stride), (ph, pw), (th, tw))
     xt = _batch_innermost(xd)  # [cin, h, w, n]
     k_rows = kd.reshape(cout, cin * kh * kw)
+    offsets = [divmod(k, pw) for k in range(ph * pw)]
 
-    def columns():
-        """[cin*kh*kw, ho*wo*n] window columns of every map."""
-        cols = np.empty((cin, kh, kw, ho, wo, n))
-        for a in range(kh):
-            for b in range(kw):
-                cols[:, a, b] = xt[_tap(a, b, grid, stride)]
-        return cols.reshape(cin * kh * kw, -1)
+    def windows(buf, writeable=False):
+        """[cin,kh,kw,ph,pw,po,qo,n] view of a [cin,h,w,n] buffer: kernel tap (a, b) of
+        the conv position that pool offset (p, q) of pooled output (i, j) reads.
 
-    out_t = (k_rows @ columns()).reshape(cout, ho, wo, n)
-    out_t += bias.data[:, None, None, None]
+        window_grid keeps every index inside `buf`.  Different taps may share
+        an element, so write one tap at a time.
+        """
+        c, y, z, m = buf.strides
+        strides = (c, y, z, sh * y, sw * z, th * sh * y, tw * sw * z, m)
+        shape = (cin, kh, kw, ph, pw, po, qo, n)
+        return np.lib.stride_tricks.as_strided(buf, shape, strides, writeable=writeable)
+
+    x_windows = windows(xt)
+
+    def columns(p, q):
+        """[cin*kh*kw, po*qo*n] window columns of the positions offset (p, q) reads."""
+        return x_windows[:, :, :, p, q].reshape(cin * kh * kw, -1)
+
+    taped = _taping((x, kernels, bias))
+    if taped:
+        first = np.zeros((cout, po, qo, n), dtype=np.min_scalar_type(ph * pw))
+    for k, (p, q) in enumerate(offsets):
+        conv_t = (k_rows @ columns(p, q)).reshape(cout, po, qo, n)
+        conv_t += bias.data[:, None, None, None]
+        if k == 0:
+            out_t = conv_t
+            continue
+        if taped:  # strictly greater: a tie keeps the earlier offset
+            np.copyto(first, k, where=conv_t > out_t)
+        np.maximum(out_t, conv_t, out=out_t)
+    if taped:
+        np.copyto(first, ph * pw, where=np.isnan(out_t))
     out = Tensor(_from_batch_innermost(out_t))
 
     def bw(g):
-        gt = _batch_innermost(g)  # [cout, ho, wo, n]
-        if bias.requires_grad:
-            _accumulate(bias, gt.sum(axis=(1, 2, 3)))
-        g_rows = gt.reshape(cout, -1)  # [cout, ho*wo*n]
-        if kernels.requires_grad:
-            _accumulate(kernels, (g_rows @ columns().T).reshape(kd.shape))
+        gt = _batch_innermost(g)  # [cout, po, qo, n]
         if x.requires_grad:
-            # g_cols[c,a,b,i,j,m] = sum_o k[o,c,a,b] * g[o,i,j,m]
-            g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, ho, wo, n)
             gxt = np.zeros_like(xt)
-            for a in range(kh):
-                for b in range(kw):
-                    gxt[_tap(a, b, grid, stride)] += g_cols[:, a, b]
+            g_windows = windows(gxt, writeable=True)
+        for k, (p, q) in enumerate(offsets):
+            g_rows = (gt * (first == k)).reshape(cout, -1)  # [cout, po*qo*n]
+            if bias.requires_grad:
+                _accumulate(bias, g_rows.sum(axis=1))
+            if kernels.requires_grad:
+                _accumulate(kernels, (g_rows @ columns(p, q).T).reshape(kd.shape))
+            if x.requires_grad:
+                # g_cols[c,a,b,i,j,m] = sum_o k[o,c,a,b] * g[o,i,j,m]
+                g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, po, qo, n)
+                for a in range(kh):
+                    for b in range(kw):
+                        g_windows[:, a, b, p, q] += g_cols[:, a, b]
+        if x.requires_grad:
             _accumulate(x, _from_batch_innermost(gxt))
 
     return _record(out, (x, kernels, bias), bw)
@@ -539,7 +588,8 @@ def maxpool2d(x, window, stride):
 
     Backward routes the incoming gradient to the first row-major maximum of
     each window, so total gradient mass is conserved exactly.  A window
-    holding a NaN yields NaN and routes no gradient.
+    holding a NaN yields NaN and routes no gradient.  The model pools inside
+    `conv2d`; this op is the reference the tests compare that against.
     """
     _require_4d("maxpool2d", x)
     ph, pw = window

@@ -17,7 +17,8 @@ Ablation variants drop exactly one of the three views.
 The model runs on a batch of queries: every activation carries a leading
 batch axis, the query/category maps of a batch go through the conv/pool
 stack in tiles of at most MAP_TILE images, and a single query is the batch
-of one.
+of one. The maps cover only the query and category positions that the
+stack's output reads (`receptive_extent`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .textdata import TokenSequence, assemble_category_text
 VARIANTS = ("full", "no_self", "no_char", "no_semantic")
 
 # Interaction maps per pass through the conv/pool stack: few enough that a
-# tile's conv output, pool and ReLU stay in cache from one op to the next.
+# tile's window columns, pooled conv output and ReLU stay in cache.
 MAP_TILE = 128
 
 _PAIRS = ("conv_window", "conv_stride", "pool_window", "pool_stride")
@@ -85,6 +86,21 @@ def conv_stack_dims(config):
             raise ConfigError(f"conv/pool block {block}: {exc}") from None
         dims.append(size)
     return dims
+
+
+def receptive_extent(config):
+    """(rows, cols) of the interaction map that the conv/pool stack's output reads.
+
+    Valid convs and dropped partial pool windows leave the trailing rows and
+    columns of a map unread; walking the stack back from its output with
+    `ad.window_extent` finds the part that is read, (14, 30) of a 16x32 map
+    at the defaults.
+    """
+    size = conv_stack_dims(config)[-1]
+    for _ in range(config.conv_blocks):
+        size = ad.window_extent(size, config.pool_window, config.pool_stride)
+        size = ad.window_extent(size, config.conv_window, config.conv_stride)
+    return size
 
 
 def flat_dim(config):
@@ -203,21 +219,22 @@ def char_match(m, params, config):
 
     Every leading index rides the conv batch dimension, so all queries and
     categories share the same filters and projection. The maps go through
-    the stack in tiles of MAP_TILE, each flattened to [tile, flat] rows;
-    the rows are concatenated and projected once. Each block is conv, ReLU,
-    max-pool; ReLU runs after the pool, on the smaller map, which gives the
-    same values and gradients because max and ReLU commute.
+    the stack in tiles of MAP_TILE; the tiles' features are concatenated,
+    which is their one copy, and projected once as [..., flat] rows. Each
+    block is conv, max-pool, ReLU, with the pool inside `ad.conv2d`; ReLU
+    runs after the pool, on the smaller map, which gives the same values
+    and gradients because max and ReLU commute.
     """
     *lead, h, w = m.shape
     maps = ad.reshape(m, (-1, 1, h, w))
+    pool = (config.pool_window, config.pool_stride)
     tiles = []
     for lo in range(0, maps.shape[0], MAP_TILE):
         x = ad.slice_rows(maps, lo, lo + MAP_TILE)
         for kernels, bias in zip(params.conv_kernels, params.conv_biases):
-            x = ad.conv2d(x, kernels, bias, stride=config.conv_stride)
-            x = ad.relu(ad.maxpool2d(x, config.pool_window, config.pool_stride))
-        tiles.append(ad.reshape(x, (x.shape[0], -1)))
-    feats = ad.concat(tiles, axis=0)
+            x = ad.relu(ad.conv2d(x, kernels, bias, stride=config.conv_stride, pool=pool))
+        tiles.append(x)
+    feats = ad.concat(tiles, axis=0)  # [maps, filters, h', w']
     return ad.reshape(feats, (*lead, -1)) @ params.projection
 
 
@@ -308,10 +325,12 @@ class Model(ad.Params):
         if self.self_params is not None:
             q, _ = self_match(q_enc, self.self_params, lengths)
         if self.char_params is not None:
-            b, lq, d = q_enc.shape
-            maps = char_interaction(
-                ad.reshape(q_enc, (b, 1, lq, d)), cat_encodings.tensors, self.char_params
-            )
+            # only the tokens whose interactions the conv/pool stack reads
+            rows, cols = receptive_extent(cfg)
+            q_cut = ad.slice_rows(q_enc, 0, rows, axis=1)
+            c_cut = ad.slice_rows(cat_encodings.tensors, 0, cols, axis=1)
+            b, _, d = q_enc.shape
+            maps = char_interaction(ad.reshape(q_cut, (b, 1, rows, d)), c_cut, self.char_params)
             z1 = char_match(maps, self.char_params, cfg)
         if self.semantic_params is not None:
             z2 = semantic_match(

@@ -36,6 +36,14 @@ CHECKPOINT_MAGIC = b"MMAN"
 CHECKPOINT_VERSION = 1
 
 
+def _check_finite_positive(config, *names):
+    """Raise ConfigError unless each named field of `config` is a finite number above 0."""
+    for name in names:
+        value = getattr(config, name)
+        if not 0 < value < math.inf:  # False for NaN
+            raise ConfigError(f"{name} must be a finite number above 0, got {value}")
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments for one named parameter list."""
@@ -50,6 +58,10 @@ class AdamState:
 
     def __post_init__(self):
         check_fields(self, dict(step=0))
+        _check_finite_positive(self, "lr", "eps")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @classmethod
     def for_params(cls, named_params, lr):
@@ -93,8 +105,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, dict(batch_size=1, epochs=0, seed=0))
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a finite number above 0, got {self.lr}")
+        _check_finite_positive(self, "lr")
 
 
 def batch_gradients(model, batch, cats):

@@ -544,6 +544,134 @@ class TestBatchInnermostConvPool:
             assert t.data.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
+def scaled_err(a, b):
+    """max |a-b| / max(1, max|b|) over the entries, NaN where both are NaN."""
+    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+    ok = ~np.isnan(b)
+    return float(np.abs(a[ok] - b[ok]).max(initial=0.0) / max(1.0, np.abs(b[ok]).max(initial=0.0)))
+
+
+# (name, n, cin, h, w, kernel, conv stride, pool window, pool stride); every
+# odd size leaves partial windows for the pool, the conv or both to drop
+_POOLED_CASES = [
+    ("disjoint", 3, 1, 9, 11, (3, 3), (1, 1), (2, 2), (2, 2)),
+    ("overlapping", 2, 8, 10, 9, (3, 2), (1, 1), (3, 3), (2, 2)),
+    ("gapped", 3, 2, 11, 12, (2, 2), (1, 1), (2, 2), (3, 3)),
+    ("strided_conv", 2, 8, 13, 12, (3, 3), (2, 1), (2, 3), (2, 2)),
+    ("unpooled", 2, 3, 7, 8, (3, 3), (1, 1), (1, 1), (1, 1)),
+    ("c4_block1", 5, 1, 14, 30, (3, 3), (1, 1), (2, 2), (2, 2)),
+    ("c4_block2", 5, 8, 6, 14, (3, 3), (1, 1), (2, 2), (2, 2)),
+]
+
+# inputs: random floats; dyadic values, whose products and sums are exact in
+# any order; and small integers, which tie inside most pool windows
+_POOLED_INPUTS = {
+    "float": lambda rng, shape: rng.normal(size=shape),
+    "dyadic": lambda rng, shape: rng.integers(-64, 65, size=shape) / 8.0,
+    "ties": lambda rng, shape: rng.integers(-1, 2, size=shape).astype(np.float64),
+}
+
+
+def pooled_conv_and_grads(x, k, b, stride, pool, fused, w_seed=0):
+    """Output and (x, k, b) gradients of sum(out * w), out the pooled conv or its reference."""
+    x, k, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (x, k, b))
+    with ad.Tape() as tape:
+        if fused:
+            out = ad.conv2d(x, k, b, stride=stride, pool=pool)
+        else:
+            out = ad.maxpool2d(ad.conv2d(x, k, b, stride=stride), *pool)
+        w = ad.Tensor(np.random.default_rng(w_seed).normal(size=out.shape))
+        loss = ad.reduce_sum(ad.mul(out, w))
+    ad.backward(loss, tape)
+    return out.data, x.grad, k.grad, b.grad
+
+
+class TestPooledConv2d:
+    """conv2d(..., pool=p) against maxpool2d(conv2d(...), *p), the reference.
+
+    The forward is bit-identical whenever the arithmetic is exact.  With
+    random floats it agrees to a few ulps only: OpenBLAS rounds one column's
+    dot product differently depending on how many columns the matrix has,
+    and the pooled op multiplies fewer columns at a time.  Gradients sum in
+    another order and agree to 1e-12, scaled.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(_POOLED_INPUTS))
+    @pytest.mark.parametrize("case", _POOLED_CASES, ids=[c[0] for c in _POOLED_CASES])
+    def test_matches_maxpool_of_conv(self, case, kind):
+        _, n, cin, h, w, kernel, stride, window, pool_stride = case
+        rng = np.random.default_rng(31)
+        make = _POOLED_INPUTS[kind]
+        x, k, b = make(rng, (n, cin, h, w)), make(rng, (4, cin, *kernel)), make(rng, (4,))
+        pool = (window, pool_stride)
+        got = pooled_conv_and_grads(x, k, b, stride, pool, fused=True)
+        want = pooled_conv_and_grads(x, k, b, stride, pool, fused=False)
+        if kind == "float":
+            assert scaled_err(got[0], want[0]) <= 1e-14
+        else:
+            np.testing.assert_array_equal(got[0], want[0])
+        for g, r in zip(got[1:], want[1:]):
+            assert scaled_err(g, r) <= 1e-12
+
+    def test_ties_route_to_the_first_row_major_maximum(self):
+        x = ad.Tensor(np.full((1, 1, 3, 3), 2.0), requires_grad=True)
+        k = ad.Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        b = ad.Tensor(np.zeros(1), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.reduce_sum(ad.conv2d(x, k, b, pool=((2, 2), (1, 1))))
+        ad.backward(loss, tape)
+        # all four conv positions read 8.0; position (0, 0) wins, its 2x2 taps get 1
+        np.testing.assert_array_equal(x.grad[0, 0], [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+
+    def test_nan_window_matches_reference_and_routes_nothing(self):
+        rng = np.random.default_rng(32)
+        x, k, b = rng.normal(size=(2, 2, 8, 9)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+        x[1, 0, 4, 4] = np.nan
+        pool = ((2, 2), (2, 2))
+        got = pooled_conv_and_grads(x, k, b, (1, 1), pool, fused=True)
+        want = pooled_conv_and_grads(x, k, b, (1, 1), pool, fused=False)
+        assert np.isnan(got[0]).any() and not np.isnan(got[0][0]).any()
+        for g, r in zip(got, want):
+            assert scaled_err(g, r) <= 1e-12
+        # the NaN windows route nothing, so the input gradient stays finite
+        assert np.isfinite(got[1]).all()
+
+    def test_untaped_forward_equals_taped(self):
+        rng = np.random.default_rng(33)
+        x, k, b = (ad.Tensor(rng.normal(size=s)) for s in ((3, 2, 9, 10), (4, 2, 3, 3), (4,)))
+        pool = ((3, 3), (2, 2))
+        untaped = ad.conv2d(x, k, b, pool=pool).data
+        k.requires_grad = True
+        with ad.Tape():
+            taped = ad.conv2d(x, k, b, pool=pool)
+        assert taped.requires_grad
+        np.testing.assert_array_equal(taped.data, untaped)
+
+    def test_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(34)
+        x = ad.Tensor(rng.normal(size=(2, 2, 8, 7)), requires_grad=True)
+        k = ad.Tensor(rng.normal(size=(3, 2, 2, 3)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=3), requires_grad=True)
+        check_grad_fd(
+            lambda: scalar_loss(ad.conv2d(x, k, b, stride=(1, 2), pool=((3, 2), (2, 1)))),
+            [x, k, b],
+        )
+
+
+class TestWindowExtent:
+    @pytest.mark.parametrize("window", [(1, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 3), (3, 1)])
+    def test_inverts_window_grid(self, window, stride):
+        for grid in [(1, 1), (2, 5), (4, 3)]:
+            h, w = ad.window_extent(grid, window, stride)
+            assert ad.window_grid((h, w), window, stride) == grid
+            # no smaller input gives the grid
+            if h > window[0]:
+                assert ad.window_grid((h - 1, w), window, stride)[0] < grid[0]
+            if w > window[1]:
+                assert ad.window_grid((h, w - 1), window, stride)[1] < grid[1]
+
+
 class TestReduce:
     def test_sum_of_zeros(self):
         assert ad.reduce_sum(ad.Tensor(np.zeros((3, 3)))).data == 0.0

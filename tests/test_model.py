@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference_grad, conv2d_loop, max_rel_err, maxpool2d_loop
-from intentmatch import autodiff as ad
+from intentmatch import autodiff as ad, model as model_module
 from intentmatch.errors import ConfigError
 from intentmatch.model import (
     CategoryEncodings,
@@ -22,6 +22,7 @@ from intentmatch.model import (
     flat_dim,
     fuse_and_score,
     multilabel_loss,
+    receptive_extent,
     self_match,
     semantic_match,
 )
@@ -223,6 +224,10 @@ class TestCharMatch:
         cfg = ModelConfig(vocab_size=8, num_categories=2)
         assert conv_stack_dims(cfg) == [(7, 15), (2, 6)]
         assert flat_dim(cfg) == 8 * 2 * 6
+
+    def test_receptive_extent_at_the_defaults(self):
+        """The stack reads rows 0-13 and columns 0-29 of a 16x32 map."""
+        assert receptive_extent(ModelConfig(vocab_size=8, num_categories=2)) == (14, 30)
 
     def test_collapsed_dims_name_the_block(self):
         with pytest.raises(ConfigError, match="block 2"):
@@ -487,6 +492,58 @@ class TestForward:
             numeric = central_difference_grad(loss_value, tensor.data)
             err = max_rel_err(tensor.grad, numeric)
             assert err < 1e-6, f"{name}: rel err {err}"
+
+
+class TestReceptiveCut:
+    """Model.forward feeds char matching only the tokens its stack reads."""
+
+    def run(self, monkeypatch, q_poke=None, c_poke=None):
+        """z1, the query encodings and the category encodings of one forward.
+
+        `q_poke`/`c_poke` (a row index) add 5.0 to that row and every later
+        one of the query/category encodings before matching.
+        """
+        v = Vocab(list("abcdefgh"))
+        model = build_tiny_model(l_q=16, l_c=32, conv_blocks=2)
+        assert receptive_extent(model.config) == (14, 30)
+        cats = model.encode_categories(tiny_cats(v))
+        if c_poke is not None:
+            data = cats.tensors.data.copy()
+            data[:, c_poke:] += 5.0
+            cats = CategoryEncodings(ad.Tensor(data), cats.lengths)
+        seen = {}
+        real_encode, real_fuse = model_module.encode, model_module.fuse_and_score
+
+        def encode(*args):
+            data = real_encode(*args).data.copy()
+            if q_poke is not None:
+                data[:, q_poke:] += 5.0
+            seen["q_enc"] = ad.Tensor(data)
+            return seen["q_enc"]
+
+        def fuse(features, params):
+            seen["z1"] = features.z1.data
+            return real_fuse(features, params)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "encode", encode)
+            patch.setattr(model_module, "fuse_and_score", fuse)
+            model.forward([tokenize("abcdefghabcdefgh", v, 16), tokenize("ad", v, 16)], cats)
+        return seen["z1"], seen["q_enc"], cats, model
+
+    def test_rows_past_the_extent_leave_z1_bit_identical(self, monkeypatch):
+        base, *_ = self.run(monkeypatch)
+        for poke in (dict(q_poke=14), dict(c_poke=30)):
+            np.testing.assert_array_equal(self.run(monkeypatch, **poke)[0], base)
+        for poke in (dict(q_poke=13), dict(c_poke=29)):
+            assert not np.array_equal(self.run(monkeypatch, **poke)[0], base)
+
+    def test_z1_matches_the_uncut_maps(self, monkeypatch):
+        z1, q_enc, cats, model = self.run(monkeypatch)
+        b, lq, d = q_enc.shape
+        maps = char_interaction(ad.reshape(q_enc, (b, 1, lq, d)), cats.tensors, model.char_params)
+        want = char_match(maps, model.char_params, model.config).data
+        assert np.abs(z1 - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestAblations:

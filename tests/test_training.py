@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -138,12 +139,14 @@ class TestTrainLoop:
         assert all(np.isfinite(runs[0]))
 
     def test_zero_lr_freezes_parameters(self):
-        """TrainConfig rejects lr=0, so the zero step runs on AdamState directly."""
+        """TrainConfig and AdamState reject lr=0, so the test zeroes a built state's lr."""
         model, data = tiny_setup()
         before = {n: t.data.copy() for n, t in model.parameters()}
         named = model.parameters()
         batch_gradients(model, data.train[:8], data.categories)
-        adam_step(named, AdamState.for_params(named, lr=0.0))
+        state = AdamState.for_params(named, lr=1e-3)
+        state.lr = 0.0
+        adam_step(named, state)
         for n, t in model.parameters():
             assert np.array_equal(t.data, before[n]), n
 
@@ -260,14 +263,14 @@ class TestBatchedGradients:
         assert lengths[0] == lengths[1]
 
     def test_c4_step_tape_length(self, monkeypatch):
-        """One C4 step (default synthetic set, d=32, batch 32) records 157 nodes."""
+        """One C4 step (default synthetic set, d=32, batch 32) records 153 nodes."""
         data = generate_synthetic(SyntheticConfig())
         config = ModelConfig(vocab_size=len(data.vocab), num_categories=len(data.categories), d=32)
         model = Model(config, np.random.default_rng(0))
         lengths = []
         monkeypatch.setattr(training.ad, "backward", lambda loss, tape: lengths.append(len(tape)))
         batch_gradients(model, data.train[:32], data.categories)
-        assert lengths == [157]
+        assert lengths == [153]
 
 
 class TestMapTiles:
@@ -299,8 +302,8 @@ class TestMapTiles:
         monkeypatch.setattr(training.ad, "backward", lambda loss, tape: lengths.append(len(tape)))
         for tiles in (1, 2, 3, 4, 5):
             batch_gradients(model, data.train[:tiles], data.categories)
-        # a tile is its slice, conv/pool/ReLU per conv block, and its flatten
-        per_tile = 2 + 3 * model.config.conv_blocks
+        # a tile is its slice and a pooled conv and ReLU per conv block
+        per_tile = 1 + 2 * model.config.conv_blocks
         assert np.diff(lengths).tolist() == [per_tile] * 4
 
 
@@ -637,10 +640,21 @@ WRONG_BY_ANNOTATION = {
         "empty": lambda v: [],
     },
 }
+# values of the right kind out of the "optimizer" block's ranges
+WRONG_BY_FIELD = {
+    "lr": {"nan": math.nan, "negative": -1.0, "zero": 0.0, "inf": math.inf},
+    "beta1": {"two": 2.0, "negative": -0.5, "nan": math.nan},
+    "beta2": {"one": 1.0},
+    "eps": {"inf": math.inf, "zero": 0.0, "negative": -1e-8},
+}
 
 
 def header_retypes():
-    """(block, key, retype) for every field of the header's two config blocks."""
+    """(block, key, retype) for every field of the header's two config blocks.
+
+    Every field gets each wrong JSON kind; an optimizer float also gets
+    values of the right kind out of its range.
+    """
     adam_fields = [f for f in dataclasses.fields(AdamState) if f.name in training._ADAM_HEADER]
     fields = [("model", f.name, f.type) for f in dataclasses.fields(ModelConfig)]
     fields += [("optimizer", "algo", "str")]
@@ -650,6 +664,8 @@ def header_retypes():
             yield pytest.param(block, key, lambda v, value=value: value, id=f"{key}={kind}")
         for kind, retype in WRONG_BY_ANNOTATION.get(annotation, {}).items():
             yield pytest.param(block, key, retype, id=f"{key}={kind}")
+        for kind, value in WRONG_BY_FIELD.get(key, {}).items():
+            yield pytest.param(block, key, lambda v, value=value: value, id=f"{key}={kind}")
 
 
 @pytest.fixture(scope="module")
@@ -684,7 +700,8 @@ class TestHeaderFieldTypes:
     @pytest.mark.parametrize(
         "block, key, value",
         [("model", "encoder_heads", True), ("model", "encoder_heads", 4.0),
-         ("model", "encoder_ffn", False), ("optimizer", "lr", "0.001")],
+         ("model", "encoder_ffn", False), ("optimizer", "lr", "0.001"),
+         ("optimizer", "beta1", 2.0)],
         ids=str,
     )
     def test_predict_exits_3_with_one_line(
@@ -703,7 +720,7 @@ class TestHeaderFieldTypes:
 
     @pytest.mark.parametrize(
         "block, key, value",
-        [("optimizer", "lr", 1), ("optimizer", "eps", 0), ("model", "conv_stride", [1, 1])],
+        [("optimizer", "lr", 1), ("optimizer", "eps", 1), ("model", "conv_stride", [1, 1])],
         ids=str,
     )
     def test_right_kinds_still_load(self, trained_files, tmp_path, block, key, value):
