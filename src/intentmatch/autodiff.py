@@ -1,8 +1,8 @@
 """Dense float64 tensor engine with reverse-mode differentiation.
 
 A :class:`Tensor` wraps a numpy float64 array: row-major, except that
-``conv2d`` and ``maxpool2d``, which take [N,C,H,W] inputs only, return
-[N,C,H,W] views of batch-innermost [C,H,W,N] buffers (see ``conv2d``).
+``conv2d`` and ``maxpool2d`` (a unit-kernel ``conv2d``), which take [N,C,H,W]
+inputs only, return [N,C,H,W] views of batch-innermost [C,H,W,N] buffers.
 While a :class:`Tape` is active (``with Tape() as tape:``), every operation
 whose inputs participate in the gradient graph appends one node;
 ``backward`` replays the tape in reverse and accumulates ``dLoss/dX`` into
@@ -468,12 +468,6 @@ def window_extent(grid, window, stride):
     return (rows - 1) * sh + kh, (cols - 1) * sw + kw
 
 
-def _tap(a, b, grid, stride):
-    """[C, rows, cols] slices picking each window's element at offset (a, b)."""
-    (ho, wo), (sh, sw) = grid, stride
-    return (slice(None), slice(a, a + ho * sh, sh), slice(b, b + wo * sw, sw))
-
-
 def _batch_innermost(a):
     """[C,H,W,N] contiguous copy of an [N,C,H,W] array; free when it already is."""
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
@@ -492,12 +486,13 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
     trailing windows dropped; the default 1x1 window leaves the map as it is.
     conv[n,o,i,j] = bias[o] + sum_{c,a,b} kernels[o,c,a,b] * x[n,c,i*sh+a,j*sw+b]
 
-    The result is `maxpool2d(conv2d(x, kernels, bias, stride), *pool)`, but
-    the correlation map never exists: for each pool offset, in row-major
-    order, one matmul computes only the positions that offset reads and a
-    running maximum folds them in.  A taped call keeps each window's first
-    maximum offset (ph*pw for a NaN window, which routes no gradient);
-    backward masks the gradient by it, offset by offset.
+    The result equals a loop max-pool of a loop correlation, but the map
+    never exists: for each pool offset, in row-major order, one matmul
+    computes only the positions that offset reads and a running maximum
+    folds them in.  A taped call keeps each window's first maximum offset
+    (ph*pw for a NaN window, which routes no gradient); backward masks the
+    gradient by it, offsets descending, so overlapping windows add into an
+    input in row-major window order.
 
     The shapes are logical: the work runs on a batch-innermost [C,H,W,N]
     memory layout, so every slice copy and strided add covers contiguous
@@ -515,8 +510,9 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
     cout, kcin, kh, kw = kd.shape
     if kcin != cin:
         raise DimensionError(f"conv2d channel mismatch: input has {cin}, kernels expect {kcin}")
-    (sh, sw), ((ph, pw), (th, tw)) = stride, pool
-    po, qo = window_grid(window_grid((h, w), (kh, kw), stride), (ph, pw), (th, tw))
+    # Python ints: a numpy integer does not cast into `first`'s small dtype
+    sh, sw, ph, pw, th, tw = (int(v) for v in (*stride, *pool[0], *pool[1]))
+    po, qo = window_grid(window_grid((h, w), (kh, kw), (sh, sw)), (ph, pw), (th, tw))
     xt = _batch_innermost(xd)  # [cin, h, w, n]
     k_rows = kd.reshape(cout, cin * kh * kw)
     offsets = [divmod(k, pw) for k in range(ph * pw)]
@@ -560,7 +556,7 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
         if x.requires_grad:
             gxt = np.zeros_like(xt)
             g_windows = windows(gxt, writeable=True)
-        for k, (p, q) in enumerate(offsets):
+        for k, (p, q) in reversed(list(enumerate(offsets))):
             g_rows = (gt * (first == k)).reshape(cout, -1)  # [cout, po*qo*n]
             if bias.requires_grad:
                 _accumulate(bias, g_rows.sum(axis=1))
@@ -581,51 +577,16 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
 def maxpool2d(x, window, stride):
     """Per-window max over the last two axes; partial trailing windows dropped.
 
-    Like `conv2d`, it works on a batch-innermost [C,H,W,N] copy of its
-    input (free when the input already has that layout) and returns the
-    logical [N,C,ho,wo] view of a [C,ho,wo,N] buffer, so the ReLU and the
-    next conv that follow stay batch-innermost.
-
-    Backward routes the incoming gradient to the first row-major maximum of
-    each window, so total gradient mass is conserved exactly.  A window
-    holding a NaN yields NaN and routes no gradient.  The model pools inside
-    `conv2d`; this op is the reference the tests compare that against.
+    The pooled `conv2d` of each map alone, with a 1x1 unit kernel and a zero
+    bias: x*1.0 + 0.0 is exact except that -0.0 comes out as +0.0, a NaN
+    stays in its own map, and backward is `conv2d`'s.  The result is copied
+    to `conv2d`'s batch-innermost layout, so a ReLU and a conv that follow
+    stay batch-innermost.
     """
     _require_4d("maxpool2d", x)
-    ph, pw = window
-    grid = window_grid(x.shape[2:], window, stride)
-    xt = _batch_innermost(x.data)  # [c, h, w, n]
-
-    def offset(k):
-        """Slices picking, for every window, its element at row-major offset k."""
-        return _tap(*divmod(k, pw), grid, stride)
-
-    disjoint = stride[0] >= ph and stride[1] >= pw
-    out_t = xt[offset(0)].copy(order="K")
-    for k in range(1, ph * pw):
-        np.maximum(out_t, xt[offset(k)], out=out_t)
-    out = Tensor(_from_batch_innermost(out_t))
-
-    def bw(g):
-        gt = _batch_innermost(g)
-        # first: each window's row-major offset of its first maximum.  It
-        # starts at ph*pw and drops by one at every offset from that maximum
-        # on; a NaN window equals nothing, keeps ph*pw and routes nothing.
-        seen = np.zeros(out_t.shape, dtype=bool)
-        first = np.full(out_t.shape, ph * pw, dtype=np.min_scalar_type(ph * pw))
-        for k in range(ph * pw):
-            seen |= xt[offset(k)] == out_t
-            first -= seen.view(np.uint8)
-        gxt = np.zeros_like(xt)
-        # descending offsets add each input position's contributions in
-        # row-major window order; disjoint windows give each position at
-        # most one, so the product is written in place
-        for k in reversed(range(ph * pw)):
-            hit = first == k
-            if disjoint:
-                np.multiply(gt, hit, out=gxt[offset(k)])
-            else:
-                gxt[offset(k)] += gt * hit
-        _accumulate(x, _from_batch_innermost(gxt))
-
-    return _record(out, (x,), bw)
+    n, c, h, w = x.shape
+    unit, zero = Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1))
+    maps = conv2d(reshape(x, (n * c, 1, h, w)), unit, zero, pool=(window, stride))
+    pooled = reshape(maps, (n, c, *maps.shape[2:]))
+    out = Tensor(_from_batch_innermost(_batch_innermost(pooled.data)))
+    return _record(out, (pooled,), lambda g: _accumulate(pooled, g))

@@ -3,6 +3,8 @@
 import dataclasses
 import numbers
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A configuration value is invalid or internally inconsistent."""
@@ -16,16 +18,26 @@ def _fits(annotation, value):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _plain(value):
+    """`value` with a numpy scalar, or each one in a pair, as the Python number it holds."""
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_fields(config, minimums):
     """Check each field of the dataclass `config` against its annotation, then `minimums`.
 
     Raises ConfigError naming the first field that fails; a pair's minimum
-    applies to each element.
+    applies to each element.  An accepted numpy scalar is replaced by the
+    Python number it holds, so the config serializes as JSON and sizes
+    behave as Python ints everywhere.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if not _fits(f.type, value):
             raise ConfigError(f"{f.name} is {value!r}, expected {f.type}")
+        setattr(config, f.name, _plain(value))
     for name, low in minimums.items():
         value = getattr(config, name)
         if (min(value) if isinstance(value, tuple) else value) < low:

@@ -4,6 +4,7 @@ and brute-force oracle equivalence for conv2d/maxpool2d."""
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intentmatch import autodiff as ad
 from conftest import (
@@ -572,28 +573,33 @@ _POOLED_INPUTS = {
 }
 
 
-def pooled_conv_and_grads(x, k, b, stride, pool, fused, w_seed=0):
-    """Output and (x, k, b) gradients of sum(out * w), out the pooled conv or its reference."""
+def pooled_conv_and_grads(x, k, b, stride, pool, w_seed=0):
+    """Output and (x, k, b) gradients of sum(out * w), out the pooled conv."""
     x, k, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (x, k, b))
     with ad.Tape() as tape:
-        if fused:
-            out = ad.conv2d(x, k, b, stride=stride, pool=pool)
-        else:
-            out = ad.maxpool2d(ad.conv2d(x, k, b, stride=stride), *pool)
+        out = ad.conv2d(x, k, b, stride=stride, pool=pool)
         w = ad.Tensor(np.random.default_rng(w_seed).normal(size=out.shape))
         loss = ad.reduce_sum(ad.mul(out, w))
     ad.backward(loss, tape)
     return out.data, x.grad, k.grad, b.grad
 
 
+def pooled_conv_oracle(x, k, b, stride, pool, w_seed=0):
+    """What `pooled_conv_and_grads` gives, from the loop oracles; a NaN window routes nothing."""
+    conv = conv2d_loop(x, k, b, stride)
+    out = maxpool2d_loop(conv, *pool)
+    w = np.random.default_rng(w_seed).normal(size=out.shape)
+    g_conv = maxpool2d_loop_backward(conv, *pool, np.where(np.isnan(out), 0.0, w))
+    return (out, *conv2d_loop_backward(x, k, g_conv, stride))
+
+
 class TestPooledConv2d:
-    """conv2d(..., pool=p) against maxpool2d(conv2d(...), *p), the reference.
+    """conv2d(..., pool=p) against a loop max-pool of a loop correlation.
 
     The forward is bit-identical whenever the arithmetic is exact.  With
-    random floats it agrees to a few ulps only: OpenBLAS rounds one column's
-    dot product differently depending on how many columns the matrix has,
-    and the pooled op multiplies fewer columns at a time.  Gradients sum in
-    another order and agree to 1e-12, scaled.
+    random floats it agrees to a few ulps only: the loops and the matmul
+    add a window's products in different orders.  Gradients sum in another
+    order too and agree to 1e-12, scaled.
     """
 
     @pytest.mark.parametrize("kind", sorted(_POOLED_INPUTS))
@@ -604,8 +610,8 @@ class TestPooledConv2d:
         make = _POOLED_INPUTS[kind]
         x, k, b = make(rng, (n, cin, h, w)), make(rng, (4, cin, *kernel)), make(rng, (4,))
         pool = (window, pool_stride)
-        got = pooled_conv_and_grads(x, k, b, stride, pool, fused=True)
-        want = pooled_conv_and_grads(x, k, b, stride, pool, fused=False)
+        got = pooled_conv_and_grads(x, k, b, stride, pool)
+        want = pooled_conv_oracle(x, k, b, stride, pool)
         if kind == "float":
             assert scaled_err(got[0], want[0]) <= 1e-14
         else:
@@ -628,8 +634,8 @@ class TestPooledConv2d:
         x, k, b = rng.normal(size=(2, 2, 8, 9)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
         x[1, 0, 4, 4] = np.nan
         pool = ((2, 2), (2, 2))
-        got = pooled_conv_and_grads(x, k, b, (1, 1), pool, fused=True)
-        want = pooled_conv_and_grads(x, k, b, (1, 1), pool, fused=False)
+        got = pooled_conv_and_grads(x, k, b, (1, 1), pool)
+        want = pooled_conv_oracle(x, k, b, (1, 1), pool)
         assert np.isnan(got[0]).any() and not np.isnan(got[0][0]).any()
         for g, r in zip(got, want):
             assert scaled_err(g, r) <= 1e-12
@@ -655,6 +661,107 @@ class TestPooledConv2d:
         check_grad_fd(
             lambda: scalar_loss(ad.conv2d(x, k, b, stride=(1, 2), pool=((3, 2), (2, 1)))),
             [x, k, b],
+        )
+
+
+def pooled_op_and_grads(op, x, window, stride):
+    """Output and input gradient of sum(out * w), out a taped `maxpool2d` or unit-kernel `conv2d`."""
+    x = ad.Tensor(x.copy(), requires_grad=True)
+    with ad.Tape() as tape:
+        if op == "maxpool2d":
+            out = ad.maxpool2d(x, window, stride)
+        else:
+            unit, zero = ad.Tensor(np.ones((1, 1, 1, 1))), ad.Tensor(np.zeros(1))
+            out = ad.conv2d(x, unit, zero, pool=(window, stride))
+        w = ad.Tensor(np.random.default_rng(0).normal(size=out.shape))
+        loss = ad.reduce_sum(ad.mul(out, w))
+    ad.backward(loss, tape)
+    return out.data, x.grad
+
+
+class TestNumpyIntegerSizes:
+    @pytest.mark.parametrize("op", ["maxpool2d", "conv2d"])
+    def test_taped_pool_with_numpy_sizes_equals_python_sizes(self, op):
+        x = np.random.default_rng(35).normal(size=(2, 1, 7, 6))
+        x[1, 0, 2, 3] = np.nan  # a NaN window stores the ph*pw index
+        n = np.int64
+        got = pooled_op_and_grads(op, x, (n(3), n(2)), (n(2), n(1)))
+        want = pooled_op_and_grads(op, x, (3, 2), (2, 1))
+        for g, r in zip(got, want):
+            np.testing.assert_array_equal(g, r)
+
+
+_SIZES = st.sampled_from([int, np.int64, np.int32])
+
+
+@st.composite
+def pooling_cases(draw):
+    """(x, kernels, bias, conv stride, pool window, pool stride) with every size drawn.
+
+    The input has room for at least one pooled window plus up to two rows
+    and columns the conv and the pool leave over as partial windows.  Sizes
+    come as Python or numpy integers; small-integer inputs tie inside
+    windows.
+    """
+    size = draw(_SIZES)
+    kh, kw, sh, sw, ph, pw, th, tw = (size(draw(st.integers(1, 3))) for _ in range(8))
+    h = (ph - 1) * sh + kh + draw(st.integers(0, 2))
+    w = (pw - 1) * sw + kw + draw(st.integers(0, 2))
+    n, cin, cout = (draw(st.integers(1, 2)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = draw(st.booleans())
+
+    def make(shape):
+        if ties:
+            return rng.integers(-1, 2, size=shape).astype(np.float64)
+        return rng.normal(size=shape)
+
+    x, k, b = make((n, cin, int(h), int(w))), make((cout, cin, int(kh), int(kw))), make(cout)
+    return x, k, b, (sh, sw), (ph, pw), (th, tw)
+
+
+def assert_views_inside_their_buffers(views):
+    """Each (buffer, view) pair: the view's last element ends inside the buffer's bytes."""
+    assert views
+    for buf, view in views:
+        assert buf.flags.c_contiguous and min(view.strides) >= 0
+        first = view.__array_interface__["data"][0] - buf.__array_interface__["data"][0]
+        last = first + sum((size - 1) * stride for size, stride in zip(view.shape, view.strides))
+        assert first >= 0 and last + view.itemsize <= buf.nbytes
+
+
+class TestPoolingProperties:
+    """Random shapes, strides and pools, partial windows included, against the loop oracles."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(pooling_cases())
+    def test_pooled_conv_and_maxpool_match_loop_oracles(self, case):
+        x, k, b, stride, window, pool_stride = case
+        pool = (window, pool_stride)
+        views = []
+        as_strided = np.lib.stride_tricks.as_strided
+
+        def recording(buf, *args, **kwargs):
+            view = as_strided(buf, *args, **kwargs)
+            views.append((buf, view))
+            return view
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.lib.stride_tricks, "as_strided", recording)
+            got = pooled_conv_and_grads(x, k, b, stride, pool)
+            got_pool = pooled_op_and_grads("maxpool2d", x, window, pool_stride)
+        assert_views_inside_their_buffers(views)
+
+        want = pooled_conv_oracle(x, k, b, stride, pool)
+        assert scaled_err(got[0], want[0]) <= 1e-14
+        for g, r in zip(got[1:], want[1:]):
+            assert scaled_err(g, r) <= 1e-12
+
+        want_pool = maxpool2d_loop(x, window, pool_stride)
+        w = np.random.default_rng(0).normal(size=want_pool.shape)
+        np.testing.assert_array_equal(got_pool[0], want_pool)
+        np.testing.assert_array_equal(
+            got_pool[1], maxpool2d_loop_backward(x, window, pool_stride, w)
         )
 
 

@@ -628,6 +628,41 @@ class TestCheckFields:
             SyntheticConfig(num_categories=1)
 
 
+def one_step_checkpoint(path, lr=1e-3, **model_fields):
+    """Bytes of a checkpoint saved after one full-batch step of the tiny setup."""
+    model, data = tiny_setup()
+    model = Model(dataclasses.replace(model.config, **model_fields), np.random.default_rng(0))
+    config = TrainConfig(epochs=1, batch_size=len(data.train), lr=lr)
+    _, state = train(model, data.train, data.categories, config)
+    save_checkpoint(path, model, data.vocab, data.categories, state)
+    return path.read_bytes()
+
+
+class TestNumpyScalarConfigs:
+    """A config given numpy scalars trains and saves as with the Python numbers they hold."""
+
+    @pytest.mark.parametrize(
+        "field, numpy_value, python_value",
+        [
+            ("d", np.int64(6), 6),
+            ("lr", np.float32(1e-3), float(np.float32(1e-3))),
+            ("pool_window", (np.int64(2), np.int64(1)), (2, 1)),
+        ],
+        ids=["int64-d", "float32-lr", "int64-pool-window"],
+    )
+    def test_trains_one_step_and_saves(self, tmp_path, field, numpy_value, python_value):
+        got = one_step_checkpoint(tmp_path / "numpy.ckpt", **{field: numpy_value})
+        want = one_step_checkpoint(tmp_path / "python.ckpt", **{field: python_value})
+        assert got == want
+
+    def test_fields_hold_python_numbers(self):
+        n = np.int64
+        cfg = ModelConfig(vocab_size=n(8), num_categories=2, pool_stride=(n(1), n(2)))
+        assert type(cfg.vocab_size) is int
+        assert all(type(v) is int for v in cfg.pool_stride)
+        assert type(TrainConfig(lr=np.float32(0.5)).lr) is float
+
+
 # a value of each JSON kind, wrong for every "model" and "optimizer" field
 WRONG_KINDS = {"true": True, "false": False, "null": None, "string": "7",
                "object": {"a": 1}, "list": [7]}
