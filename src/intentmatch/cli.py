@@ -104,7 +104,7 @@ def make_parser():
 
     g = sub.add_parser("gen", help="write a synthetic labeled-query dataset")
     g.add_argument("--out-dir", required=True)
-    _add_config_flags(g, SyntheticConfig, skip=("query_l_max",))
+    _add_config_flags(g, SyntheticConfig)
 
     t = sub.add_parser("train", help="train a model and write a checkpoint")
     t.add_argument("--train-file", required=True)
@@ -160,7 +160,7 @@ def cmd_train(args):
     config = _config_from(
         ModelConfig, vars(args), vocab_size=len(vocab), num_categories=len(cats)
     )
-    data = load_dataset(args.train_file, vocab, len(cats), l_max=config.l_q)
+    data = load_dataset(args.train_file, vocab, len(cats))
     model = Model(config, np.random.default_rng(tc.seed))
     lines = []
 
@@ -207,8 +207,8 @@ def cmd_eval(args):
             tc = _config_from(TrainConfig, run_cfg)
         except (ConfigError, OverflowError) as exc:  # OverflowError: an int lr beyond float range
             raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
-        train_data = load_dataset(args.train_file, vocab, len(cats), l_max=model.config.l_q)
-    data = load_dataset(args.data_file, vocab, len(cats), l_max=model.config.l_q)
+        train_data = load_dataset(args.train_file, vocab, len(cats))
+    data = load_dataset(args.data_file, vocab, len(cats))
     report = evaluate(model, data, cats, threshold=args.threshold)
 
     header = _config_header_lines(loaded.extra, args.threshold)
@@ -236,8 +236,7 @@ def cmd_predict(args):
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
     model = loaded.model
-    seq = tokenize(args.query, vocab, model.config.l_q)
-    logits = model.forward_with_categories(seq, cats)
+    logits = model.forward(tokenize(args.query, vocab), model.encode_categories(cats))
     probs = probabilities(logits)
     chosen = decide(logits, args.threshold)
     order = np.argsort(-probs, kind="stable")

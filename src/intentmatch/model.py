@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import EncoderParams, encode, length_mask
 from .errors import ConfigError, check_fields
-from .textdata import TokenSequence, assemble_category_text
+from .textdata import assemble_category_text, pad_batch
 
 VARIANTS = ("full", "no_self", "no_char", "no_semantic")
 
@@ -302,24 +302,19 @@ class Model(ad.Params):
                 f"category set has {len(cats)} entries, model expects "
                 f"{self.config.num_categories}"
             )
-        seqs = [assemble_category_text(rec, self.config.l_c) for rec in cats]
-        ids, lengths = _stack_sequences(seqs)
+        ids, lengths = pad_batch([assemble_category_text(rec) for rec in cats], self.config.l_c)
         return CategoryEncodings(encode(ids, lengths, self.encoder), lengths)
 
     def forward(self, query, cat_encodings):
         """Logits for tokenized queries against encoded categories.
 
-        `query` is one TokenSequence, giving [num_categories] logits, or a
-        list of B of them, giving [B, num_categories]. A single query runs
-        as the batch of one.
+        `query` is one 1-D id array, giving [num_categories] logits, or a
+        list of B of them, giving [B, num_categories]. `pad_batch` cuts or
+        pads each to l_q ids, and a single query runs as the batch of one.
         """
         cfg = self.config
-        single = isinstance(query, TokenSequence)
-        queries = [query] if single else query
-        for seq in queries:
-            if len(seq.ids) != cfg.l_q:
-                raise ConfigError(f"query length {len(seq.ids)} != configured l_q {cfg.l_q}")
-        ids, lengths = _stack_sequences(queries)
+        single = isinstance(query, np.ndarray) and query.ndim == 1
+        ids, lengths = pad_batch([query] if single else query, cfg.l_q)
         q_enc = encode(ids, lengths, self.encoder)  # [B, Lq, d]
         q = z1 = z2 = None
         if self.self_params is not None:
@@ -342,12 +337,3 @@ class Model(ad.Params):
             )
         logits = fuse_and_score(MatchFeatures(q, z1, z2), self.fusion)
         return ad.reshape(logits, (logits.shape[1],)) if single else logits
-
-    def forward_with_categories(self, query, cats):
-        return self.forward(query, self.encode_categories(cats))
-
-
-def _stack_sequences(seqs):
-    """[B, L] ids and [B] true lengths from B equal-length token sequences."""
-    ids = np.stack([s.ids for s in seqs])
-    return ids, np.array([s.true_length for s in seqs])

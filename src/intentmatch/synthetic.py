@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_fields
-from .model import ModelConfig
 from .textdata import (
     CategorySet,
     LabeledQuery,
@@ -56,7 +55,6 @@ class SyntheticConfig:
     test_fraction: float = 1.0 / 6.0
     query_len_min: int = 4
     query_len_max: int = 10
-    query_l_max: int = ModelConfig.l_q
 
     def __post_init__(self):
         check_fields(self, dict(num_categories=2, queries_per_category=1, query_len_min=1, seed=0))
@@ -141,7 +139,7 @@ def generate_synthetic(cfg):
                 source = cores[cid] if (second is None or pos < split) else cores[second]
                 chars.append(source[rng.integers(len(source))])
             text = "".join(chars)
-            queries.append(LabeledQuery(tokenize(text, vocab, cfg.query_l_max), labels, text))
+            queries.append(LabeledQuery(tokenize(text, vocab), labels, text))
 
     perm = rng.permutation(len(queries))
     n_test = int(round(len(queries) * cfg.test_fraction))

@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary, dataset file formats, atomic writes, label filtering.
+"""Tokenization, batch padding, vocabulary, dataset file formats, atomic writes, label filtering.
 
 Tokenization is character level throughout: queries and category texts are
 split into single characters, so literal overlap between a query and a
@@ -56,17 +56,6 @@ class Vocab:
 
 
 @dataclass
-class TokenSequence:
-    """Fixed-length id sequence; positions >= true_length are PAD."""
-
-    ids: np.ndarray
-    true_length: int
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-
-
-@dataclass
 class CategoryRecord:
     """One category: display strings plus their char-level token ids."""
 
@@ -105,7 +94,7 @@ class CategorySet:
 
 @dataclass
 class LabeledQuery:
-    query: TokenSequence
+    query: np.ndarray  # unpadded int64 token ids, as `tokenize` gives them
     labels: np.ndarray  # binary vector over the category set
     text: str = ""
 
@@ -113,30 +102,36 @@ class LabeledQuery:
         self.labels = np.asarray(self.labels, dtype=np.float64)
 
 
-def tokenize(text, vocab, l_max):
-    """Char-level tokenize, pad/truncate to exactly l_max ids.
+def tokenize(text, vocab):
+    """Char-level token ids of `text`, as a 1-D int64 array.
 
     An empty string becomes a single UNK token so downstream attention
     always has at least one valid position.
     """
-    if l_max < 1:
-        raise ConfigError(f"l_max must be >= 1, got {l_max}")
-    return _pad([vocab.id_of(ch) for ch in text] or [UNK_ID], l_max)
+    return np.array([vocab.id_of(ch) for ch in text] or [UNK_ID], dtype=np.int64)
 
 
-def assemble_category_text(rec, l_max):
-    """Category token sequence: name ids, then product-word ids, padded.
+def assemble_category_text(rec):
+    """Category token ids: name ids, then product-word ids.
 
-    Truncation keeps the front of the concatenation, so the name always
-    survives before product words are cut.
+    `pad_batch` keeps the front of a sequence, so the name always survives
+    before product words are cut.
     """
-    return _pad([*rec.name_tokens, *rec.product_word_tokens], l_max)
+    return np.array([*rec.name_tokens, *rec.product_word_tokens], dtype=np.int64)
 
 
-def _pad(ids, l_max):
-    """The first l_max of `ids`, PAD-filled to exactly l_max, as a TokenSequence."""
-    ids = ids[:l_max]
-    return TokenSequence(np.array(ids + [PAD_ID] * (l_max - len(ids)), dtype=np.int64), len(ids))
+def pad_batch(seqs, length):
+    """[B, length] ids and [B] true lengths from B id sequences.
+
+    Each row holds the first `length` ids of its sequence, then PAD.
+    """
+    if not len(seqs):
+        raise ConfigError("no sequences to pad: the batch is empty")
+    lengths = np.array([min(len(seq), length) for seq in seqs])
+    ids = np.full((len(seqs), length), PAD_ID, dtype=np.int64)
+    for row, seq, n in zip(ids, seqs, lengths):
+        row[:n] = seq[:n]
+    return ids, lengths
 
 
 def filter_labels_by_cdf(click_counts, threshold):
@@ -235,7 +230,7 @@ def save_dataset(path, queries):
     write_text(path, serialize_dataset(queries))
 
 
-def load_dataset(path, vocab, num_categories, l_max):
+def load_dataset(path, vocab, num_categories):
     queries = []
     for lineno, line in enumerate(_lines(path), start=1):
         if not line:
@@ -257,7 +252,7 @@ def load_dataset(path, vocab, num_categories, l_max):
                     f"{path}:{lineno}: category id {cid} outside [0, {num_categories})"
                 )
             labels[cid] = 1.0
-        queries.append(LabeledQuery(tokenize(text, vocab, l_max), labels, text))
+        queries.append(LabeledQuery(tokenize(text, vocab), labels, text))
     if not queries:
         raise DataFormatError(f"{path}: holds no queries")
     return queries

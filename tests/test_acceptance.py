@@ -64,7 +64,6 @@ def tiny_dataset(seed=7):
             vocab_size=24,
             queries_per_category=10,
             seed=seed,
-            query_l_max=8,
             query_len_min=3,
             query_len_max=6,
         )
@@ -113,14 +112,14 @@ def test_c1_full_network_gradient_check():
             make_category_record(v, 2, "ad", ["be", "cf"]),
         ]
     )
-    s = tokenize("adbe", v, 6)
+    s = tokenize("adbe", v)
     y = np.array([1.0, 0.0, 1.0])
 
     def loss_value():
-        return multilabel_loss(model.forward_with_categories(s, cats), y).data.item()
+        return multilabel_loss(model.forward(s, model.encode_categories(cats)), y).data.item()
 
     with ad.Tape() as tape:
-        loss = multilabel_loss(model.forward_with_categories(s, cats), y)
+        loss = multilabel_loss(model.forward(s, model.encode_categories(cats)), y)
     ad.backward(loss, tape)
     for name, tensor in model.parameters():
         numeric = central_difference_grad(loss_value, tensor.data)
@@ -283,7 +282,7 @@ def test_c3_zeroed_fusion_head_gives_90_ln2_per_example():
     for _ in range(4):
         text = "".join(rng.choice(letters, size=5))
         y = rng.integers(0, 2, size=90).astype(float)
-        logits = model.forward(tokenize(text, v, 6), enc)
+        logits = model.forward(tokenize(text, v), enc)
         losses.append(multilabel_loss(logits, y).data.item())
     batch_loss = float(np.mean(losses))
     assert abs(batch_loss - 62.383) / 62.383 < 0.01
@@ -379,12 +378,12 @@ def test_c7_seed_determinism_and_checkpoint_probe(tmp_path):
     assert histories[0] == histories[1]
 
     model, data = last_model
-    probe = tokenize("abc", data.vocab, 8)
-    before = model.forward_with_categories(probe, data.categories).data.copy()
+    probe = tokenize("abc", data.vocab)
+    before = model.forward(probe, model.encode_categories(data.categories)).data.copy()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, data.vocab, data.categories)
     loaded = load_checkpoint(path, data.vocab, data.categories)
-    after = loaded.model.forward_with_categories(probe, data.categories).data
+    after = loaded.model.forward(probe, loaded.model.encode_categories(data.categories)).data
     assert np.array_equal(before, after)
 
 

@@ -84,8 +84,8 @@ class TestGen:
         out = gen(tmp_path)
         vocab = load_vocab(out / "vocab.txt")
         cats = load_categories(out / "categories.tsv", vocab)
-        train_set = load_dataset(out / "train.tsv", vocab, len(cats), l_max=8)
-        test_set = load_dataset(out / "test.tsv", vocab, len(cats), l_max=8)
+        train_set = load_dataset(out / "train.tsv", vocab, len(cats))
+        test_set = load_dataset(out / "test.tsv", vocab, len(cats))
         assert len(cats) == 3
         assert len(train_set) + len(test_set) == 36
 
@@ -322,7 +322,7 @@ class TestExitCodes:
 
         def load_with_bad_id(*args, **kwargs):
             data = load_dataset(*args, **kwargs)
-            data[0].query.ids[0] = 10_000
+            data[0].query[0] = 10_000
             return data
 
         monkeypatch.setattr(cli, "load_dataset", load_with_bad_id)

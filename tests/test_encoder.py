@@ -1,5 +1,7 @@
 """Encoder tests: degenerate stack algebra, masking, gradients, sharing."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from intentmatch.errors import ConfigError, VocabError
 from intentmatch.model import Model, ModelConfig
 from intentmatch.textdata import (
     CategorySet,
-    TokenSequence,
     Vocab,
     assemble_category_text,
     make_category_record,
+    pad_batch,
     tokenize,
 )
 
@@ -35,9 +37,16 @@ def tiny_model(vocab, num_categories):
     return Model(config, np.random.default_rng(0))
 
 
+class Seq(NamedTuple):
+    """Raw `encode` input: ids, and a true length past which the ids may hold anything."""
+
+    ids: np.ndarray
+    true_length: int
+
+
 def seq(ids, true_length=None):
     ids = np.asarray(ids, dtype=np.int64)
-    return TokenSequence(ids, len(ids) if true_length is None else true_length)
+    return Seq(ids, len(ids) if true_length is None else true_length)
 
 
 def encode_one(s, p):
@@ -120,8 +129,8 @@ class TestSharedSpace:
         v = Vocab(list("abcd"))
         p = tiny_params(vocab_size=len(v))
         cats = CategorySet([make_category_record(v, 0, "ab", [])])
-        cat_seq = assemble_category_text(cats[0], l_max=5)
-        query_seq = tokenize("ab", v, 5)
+        ids, lengths = pad_batch([tokenize("ab", v), assemble_category_text(cats[0])], 5)
+        query_seq, cat_seq = seq(ids[0], lengths[0]), seq(ids[1], lengths[1])
         assert np.array_equal(query_seq.ids, cat_seq.ids)
         assert np.array_equal(encode_one(query_seq, p).data, encode_one(cat_seq, p).data)
 
@@ -134,7 +143,8 @@ class TestSharedSpace:
         outs = model.encode_categories(cats)
         assert outs.tensors.shape[0] == 2
         for rec, out, length in zip(cats, outs.tensors.data, outs.lengths):
-            text = assemble_category_text(rec, l_max=5)
+            ids, lengths = pad_batch([assemble_category_text(rec)], 5)
+            text = seq(ids[0], lengths[0])
             assert np.array_equal(out, encode_one(text, model.encoder).data)
             assert length == text.true_length
 

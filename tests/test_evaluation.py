@@ -175,7 +175,6 @@ def tiny_world():
             vocab_size=24,
             queries_per_category=12,
             seed=7,
-            query_l_max=8,
             query_len_min=3,
             query_len_max=6,
         )

@@ -28,7 +28,6 @@ from intentmatch.model import (
 )
 from intentmatch.textdata import (
     CategorySet,
-    TokenSequence,
     Vocab,
     make_category_record,
     tokenize,
@@ -426,7 +425,7 @@ class TestForward:
         v = Vocab(list("abcdefgh"))
         model = build_tiny_model()
         cats = tiny_cats(v)
-        logits = model.forward_with_categories(tokenize("ad", v, 6), cats)
+        logits = model.forward(tokenize("ad", v), model.encode_categories(cats))
         assert logits.shape == (3,)
         assert np.all(np.isfinite(logits.data))
 
@@ -434,9 +433,9 @@ class TestForward:
         v = Vocab(list("abcdefgh"))
         model = build_tiny_model()
         cats = tiny_cats(v)
-        s = tokenize("ad", v, 6)
-        a = model.forward_with_categories(s, cats).data
-        b = model.forward_with_categories(s, cats).data
+        s = tokenize("ad", v)
+        a = model.forward(s, model.encode_categories(cats)).data
+        b = model.forward(s, model.encode_categories(cats)).data
         assert np.array_equal(a, b)
 
     def test_category_permutation_permutes_outputs(self):
@@ -453,17 +452,31 @@ class TestForward:
                 for i, p in enumerate(perm)
             ]
         )
-        s = tokenize("ad", v, 6)
+        s = tokenize("ad", v)
         base = model.forward(s, model.encode_categories(cats)).data.copy()
         model.fusion.w_qf.data[:] = model.fusion.w_qf.data[:, perm]
         permuted = model.forward(s, model.encode_categories(permed)).data
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
-    def test_query_length_mismatch_rejected(self):
+    def test_query_longer_than_l_q_scores_as_its_first_l_q_ids(self):
+        v = Vocab(list("abcdefgh"))
+        model = build_tiny_model(seed=4)
+        model.fusion.w_x.data[:] = np.random.default_rng(5).normal(size=(3, 3))
+        enc = model.encode_categories(tiny_cats(v))
+        long = tokenize("abcdefghab", v)
+        assert len(long) > model.config.l_q
+        want = model.forward(long[: model.config.l_q], enc).data
+        assert np.any(want != 0)
+        np.testing.assert_array_equal(model.forward(long, enc).data, want)
+        batch = model.forward([long, long[:3]], enc).data
+        cut = model.forward([long[: model.config.l_q], long[:3]], enc).data
+        np.testing.assert_array_equal(batch, cut)
+
+    def test_empty_query_batch_rejected(self):
         v = Vocab(list("abcdefgh"))
         model = build_tiny_model()
-        with pytest.raises(ConfigError, match="l_q"):
-            model.forward_with_categories(tokenize("ad", v, 5), tiny_cats(v))
+        with pytest.raises(ConfigError, match="empty"):
+            model.forward([], model.encode_categories(tiny_cats(v)))
 
     def test_category_count_mismatch_rejected(self):
         v = Vocab(list("abcdefgh"))
@@ -478,15 +491,15 @@ class TestForward:
         rng = np.random.default_rng(3)
         model.fusion.w_x.data[:] = rng.normal(size=(3, 3))  # unblock the gate
         cats = tiny_cats(v)
-        s = tokenize("adbe", v, 6)
+        s = tokenize("adbe", v)
         y = np.array([1.0, 0.0, 1.0])
 
         def loss_value():
-            logits = model.forward_with_categories(s, cats)
+            logits = model.forward(s, model.encode_categories(cats))
             return multilabel_loss(logits, y).data.item()
 
         with ad.Tape() as tape:
-            loss = multilabel_loss(model.forward_with_categories(s, cats), y)
+            loss = multilabel_loss(model.forward(s, model.encode_categories(cats)), y)
         ad.backward(loss, tape)
         for name, tensor in model.parameters():
             numeric = central_difference_grad(loss_value, tensor.data)
@@ -528,7 +541,7 @@ class TestReceptiveCut:
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "encode", encode)
             patch.setattr(model_module, "fuse_and_score", fuse)
-            model.forward([tokenize("abcdefghabcdefgh", v, 16), tokenize("ad", v, 16)], cats)
+            model.forward([tokenize("abcdefghabcdefgh", v), tokenize("ad", v)], cats)
         return seen["z1"], seen["q_enc"], cats, model
 
     def test_rows_past_the_extent_leave_z1_bit_identical(self, monkeypatch):
@@ -550,10 +563,10 @@ class TestAblations:
     def test_each_ablation_runs_and_scores(self):
         v = Vocab(list("abcdefgh"))
         cats = tiny_cats(v)
-        s = tokenize("ad", v, 6)
+        s = tokenize("ad", v)
         for variant in ("no_self", "no_char", "no_semantic"):
             model = build_tiny_model(variant=variant)
-            logits = model.forward_with_categories(s, cats)
+            logits = model.forward(s, model.encode_categories(cats))
             assert logits.shape == (3,)
             assert np.all(np.isfinite(logits.data))
 
@@ -597,7 +610,7 @@ class TestBatchedForward:
         model = build_tiny_model(variant=variant, seed=10)
         model.fusion.w_x.data[:] = np.random.default_rng(7).normal(size=(3, 3))
         enc = model.encode_categories(tiny_cats(v))
-        queries = [tokenize(t, v, 6) for t in MIXED_QUERIES[:batch_size]]
+        queries = [tokenize(t, v) for t in MIXED_QUERIES[:batch_size]]
         got = model.forward(queries, enc).data
         assert got.shape == (batch_size, 3)
         assert np.any(got != 0)
@@ -612,7 +625,7 @@ class TestBatchedForward:
         rng = np.random.default_rng(9)
         model.fusion.w_x.data[:] = rng.normal(size=(3, 3))  # unblock the gate
         cats = tiny_cats(v)
-        queries = [tokenize(t, v, 6) for t in ("a", "adbe", "hgfedc")]
+        queries = [tokenize(t, v) for t in ("a", "adbe", "hgfedc")]
         y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
         def batch_loss():

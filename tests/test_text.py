@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intentmatch.errors import ConfigError, DataFormatError
 from intentmatch.synthetic import SyntheticConfig, generate_synthetic
@@ -18,6 +19,7 @@ from intentmatch.textdata import (
     load_dataset,
     load_vocab,
     make_category_record,
+    pad_batch,
     save_categories,
     save_dataset,
     save_vocab,
@@ -57,62 +59,76 @@ class TestVocab:
         assert Vocab(["a", "b"]).fingerprint() != Vocab(["a", "c"]).fingerprint()
 
 
+def padded(seq, length):
+    """The one row and true length `pad_batch` makes of `seq` at `length`."""
+    ids, lengths = pad_batch([seq], length)
+    return ids[0].tolist(), lengths[0]
+
+
 class TestTokenize:
     def test_padding(self):
         v = Vocab(["a", "b"])
-        seq = tokenize("ab", v, 4)
-        assert seq.ids.tolist() == [2, 3, 0, 0]
-        assert seq.true_length == 2
+        assert tokenize("ab", v).tolist() == [2, 3]
+        assert padded(tokenize("ab", v), 4) == ([2, 3, 0, 0], 2)
 
     def test_truncation(self):
         v = Vocab(["a", "b", "c"])
-        seq = tokenize("abc", v, 2)
-        assert seq.ids.tolist() == [2, 3]
-        assert seq.true_length == 2
+        assert padded(tokenize("abc", v), 2) == ([2, 3], 2)
 
     def test_unknown_char_becomes_unk(self):
         v = Vocab(["a", "b"])
-        seq = tokenize("a?b", v, 4)
-        assert seq.ids.tolist() == [2, UNK_ID, 3, 0]
-        assert seq.true_length == 3
+        assert padded(tokenize("a?b", v), 4) == ([2, UNK_ID, 3, 0], 3)
 
     def test_empty_string_single_unk(self):
-        seq = tokenize("", Vocab(["a"]), 5)
-        assert seq.ids.tolist() == [UNK_ID, 0, 0, 0, 0]
-        assert seq.true_length == 1
+        seq = tokenize("", Vocab(["a"]))
+        assert seq.tolist() == [UNK_ID]
+        assert padded(seq, 5) == ([UNK_ID, 0, 0, 0, 0], 1)
 
-    def test_output_length_always_l_max(self):
-        """Every (text, l_max) pair yields exactly l_max ids."""
-        rng = np.random.default_rng(0)
+
+def pad_oracle(seqs, length):
+    """Loop reference for `pad_batch`: first `length` ids, then PAD."""
+    rows, lengths = [], []
+    for seq in seqs:
+        kept = list(seq)[:length]
+        rows.append(kept + [PAD_ID] * (length - len(kept)))
+        lengths.append(min(len(seq), length))
+    return rows, lengths
+
+
+class TestPadBatch:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.text("abcxyz", max_size=20), min_size=1, max_size=6),
+        st.integers(1, 24),
+    )
+    def test_matches_loop_oracle(self, texts, length):
+        """Empty texts are drawn too; each tokenizes to [UNK]."""
         v = Vocab(list("abcdef"))
-        for _ in range(200):
-            n = int(rng.integers(0, 20))
-            text = "".join(rng.choice(list("abcxyz"), size=n))
-            l_max = int(rng.integers(1, 12))
-            seq = tokenize(text, v, l_max)
-            assert len(seq.ids) == l_max
-            assert seq.true_length <= l_max
-            assert np.all(seq.ids[seq.true_length :] == PAD_ID)
+        seqs = [tokenize(text, v) for text in texts]
+        ids, lengths = pad_batch(seqs, length)
+        rows, true_lengths = pad_oracle(seqs, length)
+        assert ids.dtype == np.int64 and ids.shape == (len(seqs), length)
+        assert ids.tolist() == rows
+        assert lengths.tolist() == true_lengths
 
-    def test_l_max_below_one_rejected(self):
-        with pytest.raises(ConfigError):
-            tokenize("a", Vocab(["a"]), 0)
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ConfigError, match="empty"):
+            pad_batch([], 4)
 
 
 class TestAssembleCategoryText:
     def test_name_then_words(self):
         rec = CategoryRecord(0, "x", ["y"], [5, 6], [7])
-        assert assemble_category_text(rec, l_max=4).ids.tolist() == [5, 6, 7, 0]
+        assert assemble_category_text(rec).tolist() == [5, 6, 7]
+        assert padded(assemble_category_text(rec), 4)[0] == [5, 6, 7, 0]
 
     def test_empty_word_list(self):
         rec = CategoryRecord(0, "x", [], [5, 6], [])
-        seq = assemble_category_text(rec, l_max=4)
-        assert seq.ids.tolist() == [5, 6, 0, 0]
-        assert seq.true_length == 2
+        assert padded(assemble_category_text(rec), 4) == ([5, 6, 0, 0], 2)
 
     def test_truncation_keeps_name_prefix(self):
         rec = CategoryRecord(0, "x", ["y"], [5, 6, 7], [8, 9])
-        assert assemble_category_text(rec, l_max=4).ids.tolist() == [5, 6, 7, 8]
+        assert padded(assemble_category_text(rec), 4)[0] == [5, 6, 7, 8]
 
 
 class TestCdfFilter:
@@ -190,53 +206,53 @@ class TestFileRoundTrips:
     def test_dataset_round_trip(self, tmp_path):
         v = Vocab(list("abc"))
         queries = [
-            LabeledQuery(tokenize("ab", v, 4), [1, 0, 0], "ab"),
-            LabeledQuery(tokenize("cc", v, 4), [0, 1, 1], "cc"),
+            LabeledQuery(tokenize("ab", v), [1, 0, 0], "ab"),
+            LabeledQuery(tokenize("cc", v), [0, 1, 1], "cc"),
         ]
         path = tmp_path / "train.tsv"
         save_dataset(path, queries)
-        loaded = load_dataset(path, v, 3, l_max=4)
+        loaded = load_dataset(path, v, 3)
         assert len(loaded) == 2
         for orig, back in zip(queries, loaded):
             assert back.text == orig.text
-            assert np.array_equal(back.query.ids, orig.query.ids)
+            assert np.array_equal(back.query, orig.query)
             assert np.array_equal(back.labels, orig.labels)
         assert serialize_dataset(loaded) == serialize_dataset(queries)
 
     def test_dataset_line_format(self, tmp_path):
         v = Vocab(list("ab"))
-        q = LabeledQuery(tokenize("ab", v, 4), [1, 0, 1], "ab")
+        q = LabeledQuery(tokenize("ab", v), [1, 0, 1], "ab")
         assert serialize_dataset([q]) == "ab\t0,2\n"
 
     def test_missing_tab_is_diagnosed_with_location(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ok\t0\nbroken line\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"bad\.tsv:2"):
-            load_dataset(path, Vocab(["o", "k"]), 2, l_max=4)
+            load_dataset(path, Vocab(["o", "k"]), 2)
 
     def test_bad_category_id_is_diagnosed(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q\tzero\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"bad\.tsv:1.*'zero'"):
-            load_dataset(path, Vocab(["q"]), 2, l_max=4)
+            load_dataset(path, Vocab(["q"]), 2)
 
     def test_out_of_range_id_is_diagnosed(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q\t5\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"bad\.tsv:1.*5"):
-            load_dataset(path, Vocab(["q"]), 2, l_max=4)
+            load_dataset(path, Vocab(["q"]), 2)
 
     def test_file_without_queries_rejected(self, tmp_path):
         path = tmp_path / "blank.tsv"
         path.write_text("\n\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"blank\.tsv: holds no queries"):
-            load_dataset(path, Vocab(["q"]), 2, l_max=4)
+            load_dataset(path, Vocab(["q"]), 2)
 
     def test_unlabeled_line_rejected_when_labels_required(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q\t\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="no labels"):
-            load_dataset(path, Vocab(["q"]), 2, l_max=4)
+            load_dataset(path, Vocab(["q"]), 2)
 
     def test_categories_round_trip(self, tmp_path):
         v = Vocab(list("abcdef"))
@@ -326,8 +342,8 @@ class TestSyntheticGenerator:
         for q in data.train + data.test:
             assert q.labels.shape == (4,)
             assert q.labels.sum() >= 1
-            assert len(q.query.ids) == cfg.query_l_max
-            assert cfg.query_len_min <= q.query.true_length <= cfg.query_len_max
+            assert q.query.dtype == np.int64
+            assert cfg.query_len_min <= len(q.query) <= cfg.query_len_max
 
     def test_multi_label_fraction_respected(self):
         cfg = SyntheticConfig(
@@ -350,13 +366,13 @@ class TestSyntheticGenerator:
         data = generate_synthetic(cfg)
         ownership = np.zeros((len(data.vocab.id_to_token), cfg.num_categories))
         for q in data.train:
-            for t in q.query.ids[: q.query.true_length]:
+            for t in q.query:
                 ownership[t] += q.labels
         owner = ownership.argmax(axis=1)
         golds, preds = [], []
         for q in data.test:
             votes = np.zeros(cfg.num_categories)
-            for t in q.query.ids[: q.query.true_length]:
+            for t in q.query:
                 votes[owner[t]] += 1
             pred = np.zeros(cfg.num_categories)
             pred[votes.argmax()] = 1.0
@@ -372,9 +388,9 @@ class TestSyntheticGenerator:
         save_dataset(tmp_path / "train.tsv", data.train)
         vocab = load_vocab(tmp_path / "vocab.txt")
         cats = load_categories(tmp_path / "cats.tsv", vocab)
-        train = load_dataset(tmp_path / "train.tsv", vocab, len(cats), SyntheticConfig.query_l_max)
+        train = load_dataset(tmp_path / "train.tsv", vocab, len(cats))
         assert vocab.fingerprint() == data.vocab.fingerprint()
         assert cats.fingerprint() == data.categories.fingerprint()
         assert serialize_dataset(train) == serialize_dataset(data.train)
         for orig, back in zip(data.train, train):
-            assert np.array_equal(back.query.ids, orig.query.ids)
+            assert np.array_equal(back.query, orig.query)

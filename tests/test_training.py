@@ -106,7 +106,6 @@ def tiny_setup(seed=0, variant="full"):
             vocab_size=24,
             queries_per_category=10,
             seed=7,
-            query_l_max=8,
             query_len_min=3,
             query_len_max=6,
         )
@@ -425,7 +424,7 @@ class TestCheckpoint:
         assert pos == len(raw)
 
     def probe_logits(self, model, data):
-        return model.forward_with_categories(data.train[0].query, data.categories).data
+        return model.forward(data.train[0].query, model.encode_categories(data.categories)).data
 
     def test_round_trip_probe_forward_bit_identical(self, tmp_path):
         model, data = tiny_setup(seed=4)
