@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import EncoderParams, encode, length_mask
 from .errors import ConfigError, check_fields
-from .textdata import assemble_category_text, pad_batch
+from .textdata import pad_batch
 
 VARIANTS = ("full", "no_self", "no_char", "no_semantic")
 
@@ -170,18 +170,6 @@ class FusionParams(ad.Params):
 
 
 @dataclass
-class MatchFeatures:
-    """Matching views of a batch of B queries; a field is None in its ablation variant.
-
-    Unbatched callers may drop the leading B axis from every field.
-    """
-
-    q: ad.Tensor | None  # [B, d]
-    z1: ad.Tensor | None  # [B, num_categories, d]
-    z2: ad.Tensor | None  # [B, num_categories, d]
-
-
-@dataclass
 class CategoryEncodings:
     """All category texts encoded at once, plus their pre-padding lengths."""
 
@@ -255,19 +243,19 @@ def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths):
     return attn @ q_enc
 
 
-def fuse_and_score(features, params):
+def fuse_and_score(q, z1, z2, params):
     """One logit per category from whichever views the variant keeps.
 
-    Features carry an optional leading batch axis; logits come back as
-    [B, num_categories], or [num_categories] for unbatched features.
+    q is [B, d], z1 and z2 are [B, num_categories, d], and a view is None in
+    its ablation variant; logits are [B, num_categories], or [num_categories]
+    for views without the batch axis.
     """
-    parts = [z for z in (features.z1, features.z2) if z is not None]
+    parts = [z for z in (z1, z2) if z is not None]
     z_cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
     rows = z_cat.shape[:-1]  # (..., num_categories)
     pre = ad.reshape(z_cat @ params.w_z, (-1, rows[-1]))
     if params.w_qf is not None:
-        d = features.q.shape[-1]
-        pre = ad.reshape(features.q, (-1, d)) @ params.w_qf + pre
+        pre = ad.reshape(q, (-1, q.shape[-1])) @ params.w_qf + pre
     logits = ad.relu(pre) @ params.w_x
     return ad.reshape(logits, rows)
 
@@ -302,7 +290,7 @@ class Model(ad.Params):
                 f"category set has {len(cats)} entries, model expects "
                 f"{self.config.num_categories}"
             )
-        ids, lengths = pad_batch([assemble_category_text(rec) for rec in cats], self.config.l_c)
+        ids, lengths = pad_batch([rec.ids for rec in cats], self.config.l_c)
         return CategoryEncodings(encode(ids, lengths, self.encoder), lengths)
 
     def forward(self, query, cat_encodings):
@@ -335,5 +323,5 @@ class Model(ad.Params):
                 lengths,
                 cat_encodings.lengths,
             )
-        logits = fuse_and_score(MatchFeatures(q, z1, z2), self.fusion)
+        logits = fuse_and_score(q, z1, z2, self.fusion)
         return ad.reshape(logits, (logits.shape[1],)) if single else logits

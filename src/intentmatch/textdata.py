@@ -1,8 +1,8 @@
 """Tokenization, batch padding, vocabulary, dataset file formats, atomic writes, label filtering.
 
-Tokenization is character level throughout: queries and category texts are
-split into single characters, so literal overlap between a query and a
-category surfaces directly in the char-level interaction maps.
+Tokenization is character level throughout: `tokenize` splits queries and
+category texts alike into single characters, so literal overlap between a
+query and a category surfaces directly in the char-level interaction maps.
 
 File formats (UTF-8, LF line endings):
 
@@ -57,13 +57,12 @@ class Vocab:
 
 @dataclass
 class CategoryRecord:
-    """One category: display strings plus their char-level token ids."""
+    """One category: display strings plus the token ids of its text."""
 
     category_id: int
     name: str
     product_words: list[str]
-    name_tokens: list[int]
-    product_word_tokens: list[int]
+    ids: np.ndarray  # unpadded int64 ids of the name, then the product words
 
 
 class CategorySet:
@@ -76,7 +75,7 @@ class CategorySet:
                 raise DataFormatError(
                     f"category id {rec.category_id} at position {pos}; ids must be 0..n-1 in order"
                 )
-            if not rec.name_tokens:
+            if not rec.name:
                 raise DataFormatError(f"category {rec.category_id} has an empty name")
 
     def __len__(self):
@@ -111,23 +110,17 @@ def tokenize(text, vocab):
     return np.array([vocab.id_of(ch) for ch in text] or [UNK_ID], dtype=np.int64)
 
 
-def assemble_category_text(rec):
-    """Category token ids: name ids, then product-word ids.
-
-    `pad_batch` keeps the front of a sequence, so the name always survives
-    before product words are cut.
-    """
-    return np.array([*rec.name_tokens, *rec.product_word_tokens], dtype=np.int64)
-
-
 def pad_batch(seqs, length):
     """[B, length] ids and [B] true lengths from B id sequences.
 
-    Each row holds the first `length` ids of its sequence, then PAD.
+    Each row holds the first `length` ids of its sequence, then PAD; an empty
+    sequence, whose row would have every position masked, raises.
     """
     if not len(seqs):
         raise ConfigError("no sequences to pad: the batch is empty")
     lengths = np.array([min(len(seq), length) for seq in seqs])
+    if not lengths.all():
+        raise ConfigError(f"sequence {int(np.argmin(lengths))} of the batch is empty")
     ids = np.full((len(seqs), length), PAD_ID, dtype=np.int64)
     for row, seq, n in zip(ids, seqs, lengths):
         row[:n] = seq[:n]
@@ -289,9 +282,10 @@ def load_categories(path, vocab):
 
 
 def make_category_record(vocab, category_id, name, product_words):
-    name_tokens = [vocab.id_of(ch) for ch in name]
-    word_tokens = [vocab.id_of(ch) for word in product_words for ch in word]
-    return CategoryRecord(category_id, name, list(product_words), name_tokens, word_tokens)
+    """A record whose ids are `tokenize` of the name and then the product words:
+    `pad_batch` keeps the front, so product words are cut before any of the name."""
+    ids = tokenize(name + "".join(product_words), vocab)
+    return CategoryRecord(category_id, name, list(product_words), ids)
 
 
 def save_vocab(path, vocab):

@@ -8,6 +8,12 @@ other way round.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run: a test's own
+# @settings sets only its max_examples.
+settings.register_profile("intentmatch", derandomize=True, database=None, deadline=None)
+settings.load_profile("intentmatch")
 
 
 def central_difference_grad(loss_fn, param_data, h=1e-5):

@@ -30,7 +30,6 @@ from intentmatch.evaluation import (
 )
 from intentmatch.model import (
     FusionParams,
-    MatchFeatures,
     Model,
     ModelConfig,
     SelfMatchParams,
@@ -234,9 +233,7 @@ def test_c2_seven_ops_match_brute_force_oracles():
         p.w_x.data[:] = rng.normal(size=(nc, nc))
         q = rng.normal(size=d)
         z1, z2 = rng.normal(size=(nc, d)), rng.normal(size=(nc, d))
-        got = fuse_and_score(
-            MatchFeatures(ad.Tensor(q), ad.Tensor(z1), ad.Tensor(z2)), p
-        ).data
+        got = fuse_and_score(ad.Tensor(q), ad.Tensor(z1), ad.Tensor(z2), p).data
         pre = q @ p.w_qf.data + (np.concatenate([z1, z2], axis=1) @ p.w_z.data).ravel()
         want = np.maximum(pre, 0.0) @ p.w_x.data
         np.testing.assert_allclose(got, want, atol=1e-12)

@@ -733,7 +733,7 @@ def assert_views_inside_their_buffers(views):
 class TestPoolingProperties:
     """Random shapes, strides and pools, partial windows included, against the loop oracles."""
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(pooling_cases())
     def test_pooled_conv_and_maxpool_match_loop_oracles(self, case):
         x, k, b, stride, window, pool_stride = case
@@ -763,6 +763,191 @@ class TestPoolingProperties:
         np.testing.assert_array_equal(
             got_pool[1], maxpool2d_loop_backward(x, window, pool_stride, w)
         )
+
+
+def weighted_grads(build, params, w):
+    """Forward of `build()` and the gradients of sum(w * out) for each of `params`.
+
+    The gradients are released from `params` again, so a later check starts clean.
+    """
+    with ad.Tape() as tape:
+        out = build()
+        loss = ad.reduce_sum(ad.mul(out, ad.Tensor(w)))
+    ad.backward(loss, tape)
+    grads = [t.grad for t in params]
+    for t in params:
+        t.zero_grad()
+    return out.data, grads
+
+
+@st.composite
+def softmax_cases(draw):
+    """(scores, axis, mask) with a random mask that broadcasts and kills whole rows.
+
+    The mask keeps each position with a drawn probability, is size 1 on some
+    non-softmax axes (broadcast, as the model's masks are), and has some
+    rows, the slices along `axis`, fully masked.
+    """
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    axis = draw(st.integers(0, len(shape) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask_shape = tuple(
+        n if i == axis or rng.random() < 0.7 else 1 for i, n in enumerate(shape)
+    )
+    mask = rng.random(mask_shape) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    mask &= np.expand_dims(rng.random(np.delete(mask_shape, axis)) >= 0.3, axis)
+    return rng.normal(size=shape) * 3.0, axis, mask
+
+
+@st.composite
+def matmul_cases(draw):
+    """(a, b) whose leading axes broadcast: each aligned pair is (n, n), (1, n) or (n, 1)."""
+    lead = draw(st.integers(0, 2))
+    a_lead, b_lead = [], []
+    for _ in range(lead):
+        n = draw(st.integers(2, 3))
+        pa, pb = draw(st.sampled_from([(n, n), (1, n), (n, 1)]))
+        a_lead.append(pa)
+        b_lead.append(pb)
+    # either side may also lack some of the leading axes, down to a plain matrix
+    a_lead = a_lead[draw(st.integers(0, lead)):]
+    b_lead = b_lead[draw(st.integers(0, lead)):]
+    m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(*a_lead, m, k)), rng.normal(size=(*b_lead, k, n))
+
+
+def broadcast_matmul_oracle(a, b, g):
+    """Loop reference: a @ b and the gradients of sum(g * (a @ b)).
+
+    Each batch index of the broadcast output reads index 0 of an operand's
+    size-1 axes, and its gradient adds into that same index.
+    """
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros((*batch, a.shape[-2], b.shape[-1]))
+    ga, gb = np.zeros_like(a), np.zeros_like(b)
+
+    def at(x, idx):
+        """x's batch index for output batch index idx: its trailing axes, 0 where x has size 1."""
+        lead = idx[len(idx) - (x.ndim - 2):]
+        return tuple(0 if n == 1 else j for n, j in zip(x.shape, lead))
+
+    for idx in np.ndindex(*batch):
+        ia, ib = at(a, idx), at(b, idx)
+        for i in range(a.shape[-2]):
+            for j in range(b.shape[-1]):
+                for k in range(a.shape[-1]):
+                    out[idx + (i, j)] += a[ia + (i, k)] * b[ib + (k, j)]
+                    ga[ia + (i, k)] += g[idx + (i, j)] * b[ib + (k, j)]
+                    gb[ib + (k, j)] += g[idx + (i, j)] * a[ia + (i, k)]
+    return out, ga, gb
+
+
+class TestOpProperties:
+    """Random shapes, axes, masks and broadcasts for the other engine ops.
+
+    Each op is checked against a direct formula and its gradient against
+    central differences at `check_grad_fd`'s tolerance.
+    """
+
+    @settings(max_examples=100)
+    @given(softmax_cases())
+    def test_softmax_with_random_masks(self, case):
+        z, axis, mask = case
+        x = ad.Tensor(z, requires_grad=True)
+        w = np.random.default_rng(0).normal(size=z.shape)
+        got, (gx,) = weighted_grads(lambda: ad.softmax(x, axis=axis, mask=mask), [x], w)
+
+        full = np.broadcast_to(mask, z.shape)
+        e = np.where(full, np.exp(z - np.max(z, axis=axis, keepdims=True)), 0.0)
+        total = e.sum(axis=axis, keepdims=True)
+        dead = np.broadcast_to(~full.any(axis=axis, keepdims=True), z.shape)
+        want = np.where(dead, 0.0, e / np.where(total > 0, total, 1.0))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert np.all(got[~full] == 0.0) and np.all(gx[~full] == 0.0)
+        assert np.all(got[dead] == 0.0) and np.all(gx[dead] == 0.0)
+        check_grad_fd(
+            lambda: ad.reduce_sum(ad.mul(ad.softmax(x, axis=axis, mask=mask), ad.Tensor(w))), [x]
+        )
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_layer_norm_with_constant_rows(self, lead, width, seed):
+        """Rows of one repeated value have variance exactly 0 and normalize to beta.
+
+        The repeated values are quarters, whose sums and so means are exact.
+        """
+        eps = 1e-5
+        rng = np.random.default_rng(seed)
+        xd = rng.normal(size=(*lead, width))
+        const = rng.random(lead) < 0.5
+        xd[const] = rng.integers(-8, 9, size=(int(const.sum()), 1)) / 4.0
+        x = ad.Tensor(xd, requires_grad=True)
+        gamma = ad.Tensor(rng.normal(size=width), requires_grad=True)
+        beta = ad.Tensor(rng.normal(size=width), requires_grad=True)
+        w = rng.normal(size=xd.shape)
+
+        got = ad.layer_norm(x, gamma, beta, eps).data
+        mean, var = xd.mean(axis=-1, keepdims=True), xd.var(axis=-1, keepdims=True)
+        normed = (xd - mean) / np.sqrt(var + eps)
+        np.testing.assert_allclose(got, normed * gamma.data + beta.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(got[const], np.broadcast_to(beta.data, got[const].shape))
+        check_grad_fd(
+            lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gamma, beta, eps), ad.Tensor(w))),
+            [x, gamma, beta], h=1e-6,
+        )
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_slice_rows_and_concat_on_any_axis(self, shape, data):
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        lo = data.draw(st.integers(0, shape[axis] - 1))
+        hi = data.draw(st.integers(lo + 1, shape[axis] + 2))  # may run past the end
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        index = (slice(None),) * axis + (slice(lo, hi),)
+
+        w = rng.normal(size=x.data[index].shape)
+        got, (gx,) = weighted_grads(lambda: ad.slice_rows(x, lo, hi, axis=axis), [x], w)
+        np.testing.assert_array_equal(got, x.data[index])
+        want = np.zeros(shape)
+        want[index] = w
+        np.testing.assert_array_equal(gx, want)
+        check_grad_fd(lambda: scalar_loss(ad.slice_rows(ad.tanh(x), lo, hi, axis=axis)), [x])
+
+        parts = [
+            ad.Tensor(rng.normal(size=shape[:axis] + [n] + shape[axis + 1 :]), requires_grad=True)
+            for n in sizes
+        ]
+        w = rng.normal(size=shape[:axis] + [sum(sizes)] + shape[axis + 1 :])
+        got, grads = weighted_grads(lambda: ad.concat(parts, axis=axis), parts, w)
+        np.testing.assert_array_equal(got, np.concatenate([p.data for p in parts], axis=axis))
+        bounds = np.cumsum([0] + sizes)
+        for g, a, b in zip(grads, bounds[:-1], bounds[1:]):
+            np.testing.assert_array_equal(g, w[(slice(None),) * axis + (slice(a, b),)])
+        check_grad_fd(lambda: scalar_loss(ad.concat([ad.tanh(p) for p in parts], axis=axis)), parts)
+
+    @settings(max_examples=100)
+    @given(matmul_cases())
+    def test_matmul_leading_axis_broadcasting(self, case):
+        a = ad.Tensor(case[0], requires_grad=True)
+        b = ad.Tensor(case[1], requires_grad=True)
+        out_shape = (*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), a.shape[-2], b.shape[-1])
+        w = np.random.default_rng(0).normal(size=out_shape)
+        got, (ga, gb) = weighted_grads(lambda: ad.matmul(a, b), [a, b], w)
+        want, want_ga, want_gb = broadcast_matmul_oracle(a.data, b.data, w)
+        assert got.shape == out_shape and ga.shape == a.shape and gb.shape == b.shape
+        for g, r in ((got, want), (ga, want_ga), (gb, want_gb)):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
+        check_grad_fd(lambda: scalar_loss(ad.matmul(a, b)), [a, b])
 
 
 class TestWindowExtent:

@@ -13,7 +13,6 @@ from intentmatch.model import Model, ModelConfig
 from intentmatch.textdata import (
     CategorySet,
     Vocab,
-    assemble_category_text,
     make_category_record,
     pad_batch,
     tokenize,
@@ -129,7 +128,7 @@ class TestSharedSpace:
         v = Vocab(list("abcd"))
         p = tiny_params(vocab_size=len(v))
         cats = CategorySet([make_category_record(v, 0, "ab", [])])
-        ids, lengths = pad_batch([tokenize("ab", v), assemble_category_text(cats[0])], 5)
+        ids, lengths = pad_batch([tokenize("ab", v), cats[0].ids], 5)
         query_seq, cat_seq = seq(ids[0], lengths[0]), seq(ids[1], lengths[1])
         assert np.array_equal(query_seq.ids, cat_seq.ids)
         assert np.array_equal(encode_one(query_seq, p).data, encode_one(cat_seq, p).data)
@@ -143,7 +142,7 @@ class TestSharedSpace:
         outs = model.encode_categories(cats)
         assert outs.tensors.shape[0] == 2
         for rec, out, length in zip(cats, outs.tensors.data, outs.lengths):
-            ids, lengths = pad_batch([assemble_category_text(rec)], 5)
+            ids, lengths = pad_batch([rec.ids], 5)
             text = seq(ids[0], lengths[0])
             assert np.array_equal(out, encode_one(text, model.encoder).data)
             assert length == text.true_length

@@ -10,7 +10,6 @@ from intentmatch.model import (
     CategoryEncodings,
     CharMatchParams,
     FusionParams,
-    MatchFeatures,
     Model,
     ModelConfig,
     SelfMatchParams,
@@ -317,12 +316,10 @@ class TestFuseAndScore:
         p = FusionParams(4, 3, "full", rng)
         for _, t in p.parameters():
             t.data[:] = 0.0
-        f = MatchFeatures(
-            ad.Tensor(rng.normal(size=4)),
-            ad.Tensor(rng.normal(size=(3, 4))),
-            ad.Tensor(rng.normal(size=(3, 4))),
-        )
-        assert np.all(fuse_and_score(f, p).data == 0)
+        q = ad.Tensor(rng.normal(size=4))
+        z1 = ad.Tensor(rng.normal(size=(3, 4)))
+        z2 = ad.Tensor(rng.normal(size=(3, 4)))
+        assert np.all(fuse_and_score(q, z1, z2, p).data == 0)
 
     def test_relu_gate_kills_negative_preactivations(self):
         rng = np.random.default_rng(19)
@@ -331,8 +328,8 @@ class TestFuseAndScore:
         p.w_x.data[:] = np.eye(3)
         p.w_qf.data[:] = -np.abs(p.w_qf.data)  # all-negative columns
         q = ad.Tensor(np.abs(rng.normal(size=2)) + 0.1)
-        f = MatchFeatures(q, ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((3, 2))))
-        assert np.all(fuse_and_score(f, p).data == 0)
+        z = ad.Tensor(np.zeros((3, 2)))
+        assert np.all(fuse_and_score(q, z, z, p).data == 0)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(20)
@@ -344,9 +341,7 @@ class TestFuseAndScore:
             q = rng.normal(size=d)
             z1 = rng.normal(size=(n, d))
             z2 = rng.normal(size=(n, d))
-            got = fuse_and_score(
-                MatchFeatures(ad.Tensor(q), ad.Tensor(z1), ad.Tensor(z2)), p
-            ).data
+            got = fuse_and_score(ad.Tensor(q), ad.Tensor(z1), ad.Tensor(z2), p).data
             want = fusion_oracle(q, z1, z2, p.w_qf.data, p.w_z.data, p.w_x.data)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -478,6 +473,17 @@ class TestForward:
         with pytest.raises(ConfigError, match="empty"):
             model.forward([], model.encode_categories(tiny_cats(v)))
 
+    def test_empty_id_array_rejected(self):
+        """An empty query would be scored with every position masked."""
+        v = Vocab(list("abcdefgh"))
+        model = build_tiny_model()
+        enc = model.encode_categories(tiny_cats(v))
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ConfigError, match="sequence 0 of the batch is empty"):
+            model.forward(empty, enc)
+        with pytest.raises(ConfigError, match="sequence 1 of the batch is empty"):
+            model.forward([tokenize("ad", v), empty], enc)
+
     def test_category_count_mismatch_rejected(self):
         v = Vocab(list("abcdefgh"))
         model = build_tiny_model(num_categories=4)
@@ -534,9 +540,9 @@ class TestReceptiveCut:
             seen["q_enc"] = ad.Tensor(data)
             return seen["q_enc"]
 
-        def fuse(features, params):
-            seen["z1"] = features.z1.data
-            return real_fuse(features, params)
+        def fuse(q, z1, z2, params):
+            seen["z1"] = z1.data
+            return real_fuse(q, z1, z2, params)
 
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "encode", encode)

@@ -9,11 +9,9 @@ from intentmatch.synthetic import SyntheticConfig, generate_synthetic
 from intentmatch.textdata import (
     PAD_ID,
     UNK_ID,
-    CategoryRecord,
     CategorySet,
     LabeledQuery,
     Vocab,
-    assemble_category_text,
     filter_labels_by_cdf,
     load_categories,
     load_dataset,
@@ -96,7 +94,7 @@ def pad_oracle(seqs, length):
 
 
 class TestPadBatch:
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.lists(st.text("abcxyz", max_size=20), min_size=1, max_size=6),
         st.integers(1, 24),
@@ -116,19 +114,35 @@ class TestPadBatch:
             pad_batch([], 4)
 
 
-class TestAssembleCategoryText:
+class TestCategoryIds:
+    """`make_category_record` tokenizes the name, then the product words."""
+
+    VOCAB = Vocab(list("abcdefgh"))  # "d" is id 5, "e" 6, ..., "h" 9
+
     def test_name_then_words(self):
-        rec = CategoryRecord(0, "x", ["y"], [5, 6], [7])
-        assert assemble_category_text(rec).tolist() == [5, 6, 7]
-        assert padded(assemble_category_text(rec), 4)[0] == [5, 6, 7, 0]
+        rec = make_category_record(self.VOCAB, 0, "de", ["f"])
+        assert rec.ids.tolist() == [5, 6, 7]
+        assert padded(rec.ids, 4)[0] == [5, 6, 7, 0]
 
     def test_empty_word_list(self):
-        rec = CategoryRecord(0, "x", [], [5, 6], [])
-        assert padded(assemble_category_text(rec), 4) == ([5, 6, 0, 0], 2)
+        rec = make_category_record(self.VOCAB, 0, "de", [])
+        assert padded(rec.ids, 4) == ([5, 6, 0, 0], 2)
 
     def test_truncation_keeps_name_prefix(self):
-        rec = CategoryRecord(0, "x", ["y"], [5, 6, 7], [8, 9])
-        assert padded(assemble_category_text(rec), 4)[0] == [5, 6, 7, 8]
+        rec = make_category_record(self.VOCAB, 0, "def", ["gh"])
+        assert padded(rec.ids, 4)[0] == [5, 6, 7, 8]
+
+    @settings(max_examples=200)
+    @given(
+        st.text("abcxyz?一二", min_size=1, max_size=8),
+        st.lists(st.text("abcxyz?一二", min_size=1, max_size=6), min_size=1, max_size=4),
+    )
+    def test_matches_loop_oracle(self, name, words):
+        """Chars outside the vocab ("x", "?", "二") become UNK, as in a query."""
+        v = Vocab(list("abc") + ["一"])
+        oracle = [v.id_of(ch) for ch in name] + [v.id_of(ch) for word in words for ch in word]
+        ids = make_category_record(v, 3, name, words).ids
+        assert ids.dtype == np.int64 and ids.tolist() == oracle
 
 
 class TestCdfFilter:
@@ -189,7 +203,7 @@ class TestCategorySet:
             CategorySet(recs)
 
     def test_empty_name_rejected(self):
-        rec = CategoryRecord(0, "", [], [], [])
+        rec = make_category_record(Vocab(["a"]), 0, "", [])
         with pytest.raises(DataFormatError, match="empty name"):
             CategorySet([rec])
 
@@ -266,8 +280,7 @@ class TestFileRoundTrips:
         save_categories(path, cats)
         loaded = load_categories(path, v)
         assert serialize_categories(loaded) == serialize_categories(cats)
-        assert loaded[0].name_tokens == cats[0].name_tokens
-        assert loaded[0].product_word_tokens == cats[0].product_word_tokens
+        assert loaded[0].ids.tolist() == cats[0].ids.tolist()
 
     def test_categories_bad_field_count(self, tmp_path):
         path = tmp_path / "cats.tsv"
@@ -330,7 +343,7 @@ class TestSyntheticGenerator:
         data = generate_synthetic(SyntheticConfig(num_categories=6, queries_per_category=10))
         seen = set()
         for rec in data.categories:
-            ids = set(rec.name_tokens) | set(rec.product_word_tokens)
+            ids = set(rec.ids.tolist())
             assert not (ids & seen)
             seen |= ids
 
