@@ -25,6 +25,8 @@ outputs (single-threaded numpy, no stochastic ops).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -381,23 +383,36 @@ def softmax(a, axis, mask=None):
     """
     if axis >= a.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {a.shape}")
-    z = a.data
-    mask = np.broadcast_to(np.asarray(True if mask is None else mask, dtype=bool), z.shape)
-    mx = np.max(np.where(mask, z, -np.inf), axis=axis, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
+    out = Tensor(_masked_softmax(a.data, axis, True if mask is None else mask))
+
+    def bw(g):
+        _accumulate(a, _softmax_grad(out.data, g, axis))
+
+    return _record(out, (a,), bw)
+
+
+def _masked_softmax(z, axis, mask):
+    """`softmax`'s forward on arrays, in one full-size buffer; `z` is left as it is."""
+    mask = np.asarray(mask, dtype=bool)
+    e = np.where(np.broadcast_to(mask, z.shape), z, -np.inf)
+    mx = e.max(axis=axis, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
     # exp of the raw scores, not of -inf fills, on which numpy's exp runs
     # about 3x slower; a masked score may exceed mx and overflow to inf,
     # which the mask then zeroes like any other value there
+    np.subtract(z, mx, out=e)
     with np.errstate(over="ignore"):
-        e = np.where(mask, np.exp(z - mx), 0.0)
+        np.exp(e, out=e)
+    np.copyto(e, 0.0, where=~mask)
     s = e.sum(axis=axis, keepdims=True)
-    out = Tensor(e / np.where(s == 0.0, 1.0, s))
+    s[s == 0.0] = 1.0
+    e /= s
+    return e
 
-    def bw(g):
-        y = out.data
-        _accumulate(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-    return _record(out, (a,), bw)
+def _softmax_grad(y, g, axis):
+    """dLoss/dInput of a softmax with output `y`, given dLoss/dOutput `g`."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +453,83 @@ def layer_norm(x, gamma, beta, eps):
             _accumulate(beta, _unbroadcast(g, beta.data.shape))
 
     return _record(out, (x, gamma, beta), bw)
+
+
+# ---------------------------------------------------------------------------
+# encoder blocks
+
+
+def attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
+    """Masked multi-head self-attention over x [B, L, d]: merged @ w_o, no residual.
+
+    Each of the `heads` heads takes a softmax of q kᵀ/√dh over the keys, a
+    False position of the [B, L] `key_mask` getting exactly zero weight.
+    Logits depend bit for bit on the forward's order of numpy operations,
+    and gradients on backward repeating the composed ops' backward order.
+    Holds q, k, v, attn and the merged heads, not the scores.
+    """
+    xd = x.data
+    batch, length, d = xd.shape
+    dh = d // heads
+
+    def split(proj):  # [B, L, d] -> [B, H, L, dh] view
+        return proj.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = (split(xd @ w.data) for w in (w_q, w_k, w_v))
+    scale = 1.0 / math.sqrt(dh)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= scale
+    attn = _masked_softmax(scores, -1, key_mask[:, None, None, :])
+    merged = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, length, d)
+    out = Tensor(merged @ w_o.data)
+
+    def bw(g):
+        if w_o.requires_grad:
+            _accumulate(w_o, merged.reshape(-1, d).T @ g.reshape(-1, d))
+        g_heads = split(g @ w_o.data.T)  # dLoss/d(attn @ v)
+        d_scores = _softmax_grad(attn, g_heads @ np.swapaxes(v, -1, -2), -1)
+        d_scores *= scale
+        g_v = (np.swapaxes(attn, -1, -2) @ g_heads).transpose(0, 2, 1, 3)
+        # (qᵀ dS)ᵀ, not dSᵀ q: the composed matmul's order, to the last bit
+        g_k = (np.swapaxes(q, -1, -2) @ d_scores).transpose(0, 3, 1, 2)
+        g_q = (d_scores @ k).transpose(0, 2, 1, 3)
+        for w, g_proj in ((w_v, g_v), (w_k, g_k), (w_q, g_q)):  # the composed order
+            g_proj = g_proj.reshape(batch, length, d)
+            if x.requires_grad:
+                _accumulate(x, g_proj @ w.data.T)
+            if w.requires_grad:
+                _accumulate(w, xd.reshape(-1, d).T @ g_proj.reshape(-1, d))
+
+    return _record(out, (x, w_q, w_k, w_v, w_o), bw)
+
+
+def feed_forward(x, w1, b1, w2, b2):
+    """Position-wise ReLU feed-forward over the last axis: relu(x @ w1 + b1) @ w2 + b2.
+
+    The hidden layer is computed in place and is all the op holds: the ReLU
+    derivative, 1 where the pre-activation is > 0, is 1 exactly where the
+    hidden value is > 0.
+    """
+    h = x.data @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = Tensor(h @ w2.data + b2.data)
+
+    def bw(g):
+        if b2.requires_grad:
+            _accumulate(b2, _unbroadcast(g, b2.data.shape), copy=True)
+        if w2.requires_grad:
+            _accumulate(w2, h.reshape(-1, h.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        g_pre = g @ w2.data.T
+        g_pre *= h > 0.0
+        if b1.requires_grad:
+            _accumulate(b1, _unbroadcast(g_pre, b1.data.shape), copy=True)
+        if x.requires_grad:
+            _accumulate(x, g_pre @ w1.data.T)
+        if w1.requires_grad:
+            _accumulate(w1, x.data.reshape(-1, x.shape[-1]).T @ g_pre.reshape(-1, h.shape[-1]))
+
+    return _record(out, (x, w1, b1, w2, b2), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +591,10 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
     runs of N.  The input is brought to that layout once (free when it
     already has it) and the output is the [N,C_out,po,qo] view of a
     [C_out,po,qo,N] buffer.  Each offset's window columns [C_in*kh*kw,
-    po*qo*N] are one copy out of a strided view, rebuilt in backward rather
-    than kept; their size grows with N, so callers pass tiles of maps.
+    po*qo*N] are copied out of a strided view into one buffer per call,
+    and rebuilt in backward's own buffer rather than kept; their size grows
+    with N, so callers pass tiles of maps.  Every other working array is
+    likewise allocated once per call and refilled for each offset.
     """
     _require_4d("conv2d", x)
     xd, kd = x.data, kernels.data
@@ -531,43 +625,51 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
 
     x_windows = windows(xt)
 
-    def columns(p, q):
-        """[cin*kh*kw, po*qo*n] window columns of the positions offset (p, q) reads."""
-        return x_windows[:, :, :, p, q].reshape(cin * kh * kw, -1)
+    def fill_columns(cols, p, q):
+        """`cols` [cin*kh*kw, po*qo*n], filled with the window columns offset (p, q) reads."""
+        np.copyto(cols.reshape(cin, kh, kw, po, qo, n), x_windows[:, :, :, p, q])
+        return cols
 
     taped = _taping((x, kernels, bias))
+    cols = np.empty((cin * kh * kw, po * qo * n))
+    out_t = np.empty((cout, po * qo * n))
+    conv_t = np.empty_like(out_t)
     if taped:
-        first = np.zeros((cout, po, qo, n), dtype=np.min_scalar_type(ph * pw))
+        first = np.zeros(out_t.shape, dtype=np.min_scalar_type(ph * pw))
+        gain = np.empty(out_t.shape, dtype=bool)
     for k, (p, q) in enumerate(offsets):
-        conv_t = (k_rows @ columns(p, q)).reshape(cout, po, qo, n)
-        conv_t += bias.data[:, None, None, None]
+        target = out_t if k == 0 else conv_t
+        np.matmul(k_rows, fill_columns(cols, p, q), out=target)
+        target += bias.data[:, None]
         if k == 0:
-            out_t = conv_t
             continue
         if taped:  # strictly greater: a tie keeps the earlier offset
-            np.copyto(first, k, where=conv_t > out_t)
+            np.copyto(first, k, where=np.greater(conv_t, out_t, out=gain))
         np.maximum(out_t, conv_t, out=out_t)
     if taped:
-        np.copyto(first, ph * pw, where=np.isnan(out_t))
-    out = Tensor(_from_batch_innermost(out_t))
+        np.copyto(first, ph * pw, where=np.isnan(out_t, out=gain))
+    out = Tensor(_from_batch_innermost(out_t.reshape(cout, po, qo, n)))
 
     def bw(g):
-        gt = _batch_innermost(g)  # [cout, po, qo, n]
+        gt = _batch_innermost(g).reshape(cout, -1)  # [cout, po*qo*n]
+        hit = np.empty(gt.shape, dtype=bool)
+        g_rows = np.empty_like(gt)
+        cols, g_cols = np.empty((2, cin * kh * kw, po * qo * n))  # the forward's cols are not kept
         if x.requires_grad:
             gxt = np.zeros_like(xt)
             g_windows = windows(gxt, writeable=True)
         for k, (p, q) in reversed(list(enumerate(offsets))):
-            g_rows = (gt * (first == k)).reshape(cout, -1)  # [cout, po*qo*n]
+            np.multiply(gt, np.equal(first, k, out=hit), out=g_rows)
             if bias.requires_grad:
                 _accumulate(bias, g_rows.sum(axis=1))
             if kernels.requires_grad:
-                _accumulate(kernels, (g_rows @ columns(p, q).T).reshape(kd.shape))
+                _accumulate(kernels, (g_rows @ fill_columns(cols, p, q).T).reshape(kd.shape))
             if x.requires_grad:
                 # g_cols[c,a,b,i,j,m] = sum_o k[o,c,a,b] * g[o,i,j,m]
-                g_cols = (k_rows.T @ g_rows).reshape(cin, kh, kw, po, qo, n)
+                taps = np.matmul(k_rows.T, g_rows, out=g_cols).reshape(cin, kh, kw, po, qo, n)
                 for a in range(kh):
                     for b in range(kw):
-                        g_windows[:, a, b, p, q] += g_cols[:, a, b]
+                        g_windows[:, a, b, p, q] += taps[:, a, b]
         if x.requires_grad:
             _accumulate(x, _from_batch_innermost(gxt))
 

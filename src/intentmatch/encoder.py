@@ -10,8 +10,6 @@ contextual vector per input position.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
@@ -58,27 +56,15 @@ class EncoderParams(ad.Params):
 
 
 def _attention_block(x, layer, key_mask, num_heads):
-    """Multi-head self-attention over [B, L, d], heads laid out as [B, H, L, dh]."""
-    batch, length, d = x.shape
-    dh = d // num_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def heads(t, axes):
-        return ad.transpose(ad.reshape(t, (batch, length, num_heads, dh)), axes)
-
-    q = heads(x @ layer["w_q"], (0, 2, 1, 3))
-    k_t = heads(x @ layer["w_k"], (0, 2, 3, 1))  # [B, H, dh, L]
-    v = heads(x @ layer["w_v"], (0, 2, 1, 3))
-    scores = (q @ k_t) * scale
-    # PAD keys get exactly zero attention from every position
-    attn = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
-    merged = ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (batch, length, d))
-    return ad.layer_norm(x + merged @ layer["w_o"], layer["ln1_g"], layer["ln1_b"], LAYERNORM_EPS)
+    """Multi-head self-attention over [B, L, d], then the residual and layer norm."""
+    attended = ad.attention(
+        x, layer["w_q"], layer["w_k"], layer["w_v"], layer["w_o"], key_mask, num_heads
+    )
+    return ad.layer_norm(x + attended, layer["ln1_g"], layer["ln1_b"], LAYERNORM_EPS)
 
 
 def _ffn_block(x, layer):
-    hidden = ad.relu(x @ layer["ffn_w1"] + layer["ffn_b1"])
-    out = hidden @ layer["ffn_w2"] + layer["ffn_b2"]
+    out = ad.feed_forward(x, layer["ffn_w1"], layer["ffn_b1"], layer["ffn_w2"], layer["ffn_b2"])
     return ad.layer_norm(x + out, layer["ln2_g"], layer["ln2_b"], LAYERNORM_EPS)
 
 

@@ -28,11 +28,14 @@ from .textdata import (
 _BASE_POOL = [chr(c) for c in range(ord("a"), ord("z") + 1)] + [
     chr(c) for c in range(ord("0"), ord("9") + 1)
 ]
+_CJK_FIRST = 0x4E00
+# the pool must stop short of the surrogates at U+D800, which UTF-8 cannot encode
+MAX_VOCAB_SIZE = len(_BASE_POOL) + 0xD800 - _CJK_FIRST
 
 
 def _char_pool(size):
     pool = list(_BASE_POOL)
-    cp = 0x4E00
+    cp = _CJK_FIRST
     while len(pool) < size:
         pool.append(chr(cp))
         cp += 1
@@ -58,6 +61,8 @@ class SyntheticConfig:
 
     def __post_init__(self):
         check_fields(self, dict(num_categories=2, queries_per_category=1, query_len_min=1, seed=0))
+        if self.vocab_size > MAX_VOCAB_SIZE:
+            raise ConfigError(f"vocab_size must be at most {MAX_VOCAB_SIZE}, got {self.vocab_size}")
         if min(CORE_TOKENS_PER_CATEGORY, self.vocab_size // self.num_categories) < 2:
             raise ConfigError(
                 f"vocab of {self.vocab_size} cannot give {self.num_categories} categories "

@@ -55,7 +55,7 @@ class Vocab:
         return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class CategoryRecord:
     """One category: display strings plus the token ids of its text."""
 
@@ -91,7 +91,7 @@ class CategorySet:
         return hashlib.sha256(serialize_categories(self).encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledQuery:
     query: np.ndarray  # unpadded int64 token ids, as `tokenize` gives them
     labels: np.ndarray  # binary vector over the category set

@@ -1,6 +1,8 @@
 """Tensor engine tests: op semantics, gradients vs finite differences,
 and brute-force oracle equivalence for conv2d/maxpool2d."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -308,6 +310,118 @@ class TestLayerNorm:
         out = ad.layer_norm(x, ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8)), self.EPS).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, rtol=1e-5)
+
+
+def composed_attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
+    """The attention block as separate engine ops: the reference `ad.attention` must match."""
+    batch, length, d = x.shape
+    dh = d // heads
+
+    def split(t, axes):
+        return ad.transpose(ad.reshape(t, (batch, length, heads, dh)), axes)
+
+    q = split(x @ w_q, (0, 2, 1, 3))
+    k_t = split(x @ w_k, (0, 2, 3, 1))
+    v = split(x @ w_v, (0, 2, 1, 3))
+    scores = (q @ k_t) * (1.0 / math.sqrt(dh))
+    attn = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
+    return ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (batch, length, d)) @ w_o
+
+
+def composed_feed_forward(x, w1, b1, w2, b2):
+    """The feed-forward block as separate engine ops: the reference `ad.feed_forward` must match."""
+    return ad.relu(x @ w1 + b1) @ w2 + b2
+
+
+def attention_inputs(lengths, length, d, seed=0):
+    """x [B, length, d], four [d, d] weights and the key mask of `lengths`, all requiring grad."""
+    rng = np.random.default_rng(seed)
+    tensors = [ad.Tensor(rng.normal(size=(len(lengths), length, d)), requires_grad=True)]
+    tensors += [ad.Tensor(rng.normal(size=(d, d)) / 2, requires_grad=True) for _ in range(4)]
+    return tensors, np.arange(length) < np.array(lengths)[:, None]
+
+
+def ffn_inputs(batch, seed=0):
+    """Small-integer x [B, 5, 4], w1 [4, 6], b1, w2 [6, 4], b2: many exactly-zero pre-activations."""
+    rng = np.random.default_rng(seed)
+    shapes = [(batch, 5, 4), (4, 6), (6,), (6, 4), (4,)]
+    return [ad.Tensor(rng.integers(-2, 3, size=s).astype(float), requires_grad=True) for s in shapes]
+
+
+def run_with_residual(block, tensors, w):
+    """Output and gradients (None where none reaches) of sum(w * (x + block(x, ...))),
+    the residual use the encoder makes of both blocks."""
+    return weighted_grads(lambda: tensors[0] + block(*tensors), tensors, w)
+
+
+def assert_same_run(got, want):
+    """Equal outputs and equal gradients, bit for bit, with None in the same places."""
+    np.testing.assert_array_equal(got[0], want[0])
+    for g, ref in zip(got[1], want[1]):
+        assert (g is None) == (ref is None)
+        if ref is not None:
+            np.testing.assert_array_equal(g, ref)
+
+
+# positions of the op's tensor inputs that take no gradient: none, then partial sets
+_GRAD_SUBSETS = {
+    "all": set(),
+    "weights_only": {0},
+    "x_only": {1, 2, 3, 4},
+    "third_weight_only": {0, 1, 2, 4},
+    "last_only": {0, 1, 2, 3},
+}
+
+
+class TestFusedEncoderOps:
+    """`ad.attention` and `ad.feed_forward` equal their composition from separate
+    ops bit for bit, output and every input gradient, and pass central differences
+    at C1's tolerance (1e-4)."""
+
+    @pytest.mark.parametrize("subset", _GRAD_SUBSETS.values(), ids=list(_GRAD_SUBSETS))
+    @pytest.mark.parametrize("heads", [1, 2, 32])
+    @pytest.mark.parametrize("lengths", [(16,), (1,), (16, 1, 9)], ids=["B1", "B1_len1", "B3"])
+    def test_attention_matches_composed(self, lengths, heads, subset):
+        """Run at the encoder's d=32 and length 16: at d=4 a key gradient summed in
+        another order (dSᵀ q) still gives the same bits, so it would pass there."""
+        runs = []
+        for op in (ad.attention, composed_attention):
+            tensors, mask = attention_inputs(lengths, 16, 32)
+            for i in subset:
+                tensors[i].requires_grad = False
+            w = np.random.default_rng(1).normal(size=tensors[0].shape)
+            runs.append(run_with_residual(lambda *t: op(*t, mask, heads), tensors, w))
+        assert_same_run(*runs)
+
+    @pytest.mark.parametrize("subset", _GRAD_SUBSETS.values(), ids=list(_GRAD_SUBSETS))
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_feed_forward_matches_composed(self, batch, subset):
+        runs = []
+        for op in (ad.feed_forward, composed_feed_forward):
+            tensors = ffn_inputs(batch)
+            for i in subset:
+                tensors[i].requires_grad = False
+            w = np.random.default_rng(1).normal(size=tensors[0].shape)
+            runs.append(run_with_residual(op, tensors, w))
+        x, w1, b1 = (t.data for t in ffn_inputs(batch)[:3])
+        pre = x @ w1 + b1
+        assert (pre == 0.0).any() and (pre > 0).any() and (pre < 0).any()
+        assert_same_run(*runs)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_finite_differences(self, heads):
+        tensors, mask = attention_inputs((5, 1, 3), 5, 4, seed=heads)
+        w = ad.Tensor(np.random.default_rng(2).normal(size=tensors[0].shape))
+        check_grad_fd(
+            lambda: ad.reduce_sum(ad.mul(ad.attention(*tensors, mask, heads), w)), tensors, tol=1e-4
+        )
+
+    def test_feed_forward_finite_differences(self):
+        rng = np.random.default_rng(3)
+        shapes = [(3, 5, 4), (4, 6), (6,), (6, 4), (4,)]
+        tensors = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        w = ad.Tensor(rng.normal(size=(3, 5, 4)))
+        check_grad_fd(lambda: ad.reduce_sum(ad.mul(ad.feed_forward(*tensors), w)), tensors, tol=1e-4)
 
 
 class TestConv2d:

@@ -243,6 +243,7 @@ MALFORMED_FLAGS = [
     ("gen", ["--multi-label-fraction", "2"], "multi_label_fraction"),
     ("gen", ["--tail-exponent", "nan"], "tail_exponent"),
     ("gen", ["--queries-per-category", "0"], "queries_per_category"),
+    ("gen", ["--vocab-size", "35365"], "at most 35364"),  # the pool would reach U+D800
 ]
 
 

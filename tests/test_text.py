@@ -215,6 +215,15 @@ class TestCategorySet:
         assert one.fingerprint() == same.fingerprint()
         assert one.fingerprint() != other.fingerprint()
 
+    def test_records_compare_without_raising(self):
+        """Records hold numpy arrays, so `==` is identity rather than an ambiguous field compare."""
+        v = Vocab(["a", "b"])
+        a, b = (make_category_record(v, 0, "ab", []) for _ in range(2))
+        q, r = (LabeledQuery(np.array([2, 3]), np.array([1.0, 0.0])) for _ in range(2))
+        for one, other in ((a, b), (q, r)):
+            assert (one == other) is False and (one != other) is True
+            assert (one == one) is True
+
 
 class TestFileRoundTrips:
     def test_dataset_round_trip(self, tmp_path):
