@@ -93,19 +93,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars and arrays are promoted to constant tensors
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def parameter(rng, shape, fan_in):
@@ -217,7 +209,6 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
 
     def bw(g):
@@ -225,19 +216,6 @@ def add(a, b):
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape), copy=a.requires_grad)
-
-    return _record(out, (a, b), bw)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -287,7 +265,6 @@ def reshape(a, shape):
 
 
 def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -358,18 +335,21 @@ def stable_sigmoid(x):
 
 
 def sigmoid_cross_entropy(z, y):
-    """Per-element binary cross entropy of logits `z` against a constant 0/1 array `y`.
+    """Binary cross entropy of logits `z` against a constant 0/1 array `y`: the
+    sum over every element times 1/rows, the mean of the rows' sums (at least one row).
 
-    softplus(z) - z*y, softplus(z) = max(z,0) + log1p(exp(-|z|)): finite for
-    any logit, unlike -[y log sigmoid(z) + (1-y) log(1 - sigmoid(z))].
+    Per element softplus(z) - z*y, softplus(z) = max(z,0) + log1p(exp(-|z|)):
+    finite for any logit, unlike -[y log sigmoid(z) + (1-y) log(1 - sigmoid(z))].
     """
     x, y = z.data, np.asarray(y, dtype=np.float64)
     if y.shape != x.shape:
         raise DimensionError(f"sigmoid_cross_entropy: logits {x.shape} vs targets {y.shape}")
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - x * y)
+    scale = 1.0 / max(1, math.prod(x.shape[:-1]))
+    out = Tensor((np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - x * y).sum() * scale)
 
     def bw(g):
-        _accumulate(z, g * stable_sigmoid(x) - g * y)
+        s = g * scale
+        _accumulate(z, s * stable_sigmoid(x) - s * y)
 
     return _record(out, (z,), bw)
 
@@ -419,14 +399,10 @@ def _softmax_grad(y, g, axis):
 # reductions and normalization
 
 
-def reduce_sum(a, axis=None, keepdims=False):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def bw(g):
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg, a.data.shape))
-
-    return _record(out, (a,), bw)
+def reduce_sum(a):
+    """The sum of every element, as a scalar."""
+    out = Tensor(a.data.sum())
+    return _record(out, (a,), lambda g: _accumulate(a, np.broadcast_to(g, a.data.shape)))
 
 
 def layer_norm(x, gamma, beta, eps):

@@ -15,7 +15,7 @@ written, or an invalid flag, config, dataset, vocab or category file; 3 an
 unreadable, malformed or mismatched checkpoint, a header field of the wrong
 JSON type included; 4 training diverged (a NaN or infinite loss or
 parameter), in which case `train` writes neither the checkpoint nor the
-loss log.
+loss log.  An array too large to allocate (`train --l-c 100000`) exits 2.
 """
 
 from __future__ import annotations
@@ -255,10 +255,10 @@ _HANDLERS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "predict": cm
 # the exit code of each error a command ends in with one `error:` line.  Of
 # the OSErrors only those of a path that cannot be opened are listed: an I/O
 # failure on an open file, such as a full disk, is not a bad input and
-# propagates.
+# propagates.  A MemoryError is a size flag (or file) too large for the host.
 _EXIT_CODES = {
     FileNotFoundError: 2, IsADirectoryError: 2, NotADirectoryError: 2, PermissionError: 2,
-    ConfigError: 2, DataFormatError: 2, VocabError: 2,
+    ConfigError: 2, DataFormatError: 2, VocabError: 2, MemoryError: 2,
     CheckpointError: 3, NonFiniteError: 4,
 }
 
@@ -268,7 +268,7 @@ def main(argv=None):
     try:
         return _HANDLERS[args.command](args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -236,7 +236,7 @@ def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths):
     n, lc, _ = cat_tensors.shape
     lens = np.asarray(cat_lengths)
     weights = length_mask(lens, lc) / lens[:, None]
-    c_mat = ad.reshape(ad.as_tensor(weights[:, None, :]) @ cat_tensors, (n, -1))
+    c_mat = ad.reshape(ad.Tensor(weights[:, None, :]) @ cat_tensors, (n, -1))
     scores = (c_mat @ params.w_qs) @ ad.transpose(q_enc)  # [..., N, Lq]
     mask = length_mask(true_length, q_enc.shape[-2])[..., None, :]
     attn = ad.softmax(scores, axis=-1, mask=mask)
@@ -261,8 +261,8 @@ def fuse_and_score(q, z1, z2, params):
 
 
 def multilabel_loss(logits, labels):
-    """Summed per-label binary cross entropy on raw logits (see `ad.sigmoid_cross_entropy`)."""
-    return ad.reduce_sum(ad.sigmoid_cross_entropy(logits, labels))
+    """Each query's binary cross entropy summed over the categories, averaged over the queries."""
+    return ad.sigmoid_cross_entropy(logits, labels)
 
 
 class Model(ad.Params):

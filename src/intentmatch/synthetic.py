@@ -74,6 +74,13 @@ class SyntheticConfig:
             )
         if not math.isfinite(self.tail_exponent):
             raise ConfigError(f"tail_exponent must be finite, got {self.tail_exponent}")
+        try:
+            with np.errstate(over="ignore"):
+                total = _category_weights(self).sum()
+        except OverflowError:
+            total = math.inf
+        if math.isinf(total):
+            raise ConfigError(f"tail_exponent {self.tail_exponent} overflows the category weights")
         for name in ("multi_label_fraction", "noise", "test_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -87,12 +94,15 @@ class SyntheticDataset:
     test: list[LabeledQuery]
 
 
+def _category_weights(cfg):
+    """Power-law weight (r + 1) ** -tail_exponent of category rank r; may raise OverflowError."""
+    return np.array([(r + 1.0) ** -cfg.tail_exponent for r in range(cfg.num_categories)])
+
+
 def _category_counts(cfg):
     """Power-law category sizes via largest-remainder rounding."""
     total = cfg.num_categories * cfg.queries_per_category
-    weights = np.array(
-        [(r + 1.0) ** -cfg.tail_exponent for r in range(cfg.num_categories)]
-    )
+    weights = _category_weights(cfg)
     exact = weights / weights.sum() * total
     counts = np.floor(exact).astype(int)
     remainder = exact - counts

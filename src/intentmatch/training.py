@@ -115,14 +115,12 @@ def batch_gradients(model, batch, cats):
     one tape, so the tape's length does not grow with the batch, and is
     replayed by one backward call.
     """
-    inv_batch = 1.0 / len(batch)
     with ad.Tape() as tape:
         cat_enc = model.encode_categories(cats)
         logits = model.forward([ex.query for ex in batch], cat_enc)
-        total = multilabel_loss(logits, np.stack([ex.labels for ex in batch]))
-        scaled = total * inv_batch
-    ad.backward(scaled, tape)
-    return float(total.data) * inv_batch
+        loss = multilabel_loss(logits, np.stack([ex.labels for ex in batch]))
+    ad.backward(loss, tape)
+    return float(loss.data)
 
 
 def _check_finite(named_params, loss, epoch, batch):

@@ -10,10 +10,30 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from intentmatch import autodiff as ad
+
 # Every property test draws the same examples on every run: a test's own
 # @settings sets only its max_examples.
 settings.register_profile("intentmatch", derandomize=True, database=None, deadline=None)
 settings.load_profile("intentmatch")
+
+
+def weighted_sum(t, w):
+    """Scalar sum(w * t) as one dot product; the gradient `t` receives is exactly `w`.
+
+    `w` is an array or a tensor of t's size; a `w` tensor that requires grad receives `t`.
+    """
+    w = w if isinstance(w, ad.Tensor) else ad.Tensor(w)
+    return ad.reshape(ad.reshape(t, (1, -1)) @ ad.reshape(w, (-1, 1)), ())
+
+
+def scaled(t, s):
+    """`t` times the constant float `s`: t.data * s forward, g * s backward.
+
+    The engine has no elementwise product, so this test op records its own node.
+    """
+    out = ad.Tensor(t.data * s)
+    return ad._record(out, (t,), lambda g: ad._accumulate(t, g * s))
 
 
 def central_difference_grad(loss_fn, param_data, h=1e-5):

@@ -244,6 +244,10 @@ MALFORMED_FLAGS = [
     ("gen", ["--tail-exponent", "nan"], "tail_exponent"),
     ("gen", ["--queries-per-category", "0"], "queries_per_category"),
     ("gen", ["--vocab-size", "35365"], "at most 35364"),  # the pool would reach U+D800
+    ("gen", ["--tail-exponent=-400"], "tail_exponent"),  # one weight overflows
+    # only the weights' sum overflows
+    ("gen", ["--categories", "10000", "--vocab-size", "20000", "--queries-per-category", "1",
+             "--tail-exponent=-77"], "tail_exponent"),
 ]
 
 
@@ -329,6 +333,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "load_dataset", load_with_bad_id)
         rc, err = self.run(capsys, [*train_argv(tiny_data, tmp_path), *TINY_MODEL])
         assert rc == 2 and "10000" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "message", ["Unable to allocate 2.33 TiB for an array with shape (8, 4, 100000, 100000)", ""],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exits_2_naming_the_allocation(
+        self, tmp_path, capsys, tiny_data, monkeypatch, message
+    ):
+        """`train --l-c 100000` asks numpy for that array.  Whether a real allocation
+        fails at once depends on the host's overcommit setting, so the handler raises."""
+
+        def out_of_memory(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._HANDLERS, "train", out_of_memory)
+        rc, err = self.run(capsys, train_argv(tiny_data, tmp_path))
+        assert rc == 2 and err == f"error: {message or 'MemoryError'}\n"
         assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("kind", ["vocab", "categories", "dataset"])

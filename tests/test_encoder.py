@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import central_difference_grad, max_rel_err
+from conftest import central_difference_grad, max_rel_err, weighted_sum
 from intentmatch import autodiff as ad
 from intentmatch.encoder import EncoderParams, encode
 from intentmatch.errors import ConfigError, VocabError
@@ -172,7 +172,7 @@ class TestGradients:
         s = seq([2, 5, 3, 0], true_length=3)
         with ad.Tape() as tape:
             out = encode_one(s, p)
-            loss = ad.reduce_sum(out * out)
+            loss = weighted_sum(out, out)
         ad.backward(loss, tape)
         used = {2, 5, 3, 0}
         for tid in range(p.tok_emb.shape[0]):
@@ -195,7 +195,7 @@ class TestGradients:
 
         with ad.Tape() as tape:
             out = encode_one(s, p)
-            loss = ad.reduce_sum(out * ad.Tensor(probe))
+            loss = weighted_sum(out, probe)
         ad.backward(loss, tape)
         for name, tensor in p.parameters():
             numeric = central_difference_grad(loss_value, tensor.data)

@@ -386,6 +386,22 @@ class TestMultilabelLoss:
         assert np.isfinite(got)
         assert got == pytest.approx(2e4, rel=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 2, 7, 32])
+    def test_zero_logits_give_n_ln2_for_every_batch_size(self, batch):
+        y = np.random.default_rng(24).integers(0, 2, size=(batch, 90))
+        loss = multilabel_loss(ad.Tensor(np.zeros((batch, 90))), y)
+        assert loss.shape == ()
+        assert abs(loss.data.item() - 90 * np.log(2)) < 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    def test_batch_is_the_mean_of_its_single_query_losses(self, batch):
+        rng = np.random.default_rng(25)
+        z = rng.uniform(-30, 30, size=(batch, 8))
+        y = rng.integers(0, 2, size=(batch, 8)).astype(float)
+        got = multilabel_loss(ad.Tensor(z), y).data.item()
+        want = np.mean([multilabel_loss(ad.Tensor(zr), yr).data.item() for zr, yr in zip(z, y)])
+        assert abs(got - want) <= 1e-12 * abs(want)
+
 
 def build_tiny_model(variant="full", seed=0, **overrides):
     defaults = dict(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intentmatch.errors import ConfigError, DataFormatError
-from intentmatch.synthetic import SyntheticConfig, generate_synthetic
+from intentmatch.synthetic import SyntheticConfig, _category_counts, generate_synthetic
 from intentmatch.textdata import (
     PAD_ID,
     UNK_ID,
@@ -375,6 +375,24 @@ class TestSyntheticGenerator:
         labels = np.array([q.labels for q in data.train + data.test])
         frac = np.mean(labels.sum(axis=1) > 1)
         assert abs(frac - 0.3) < 0.05
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("categories, exponent", [(8, -400.0), (10_000, -77.0)])
+    def test_overflowing_tail_weights_rejected(self, categories, exponent):
+        """At -400 the weights from 6.0 ** 400 on overflow (a raw OverflowError before);
+        at -77 over 10,000 categories only their sum does, which gave every category one
+        query after a numpy warning."""
+        with pytest.raises(ConfigError, match="tail_exponent"):
+            SyntheticConfig(
+                num_categories=categories, vocab_size=2 * categories, tail_exponent=exponent
+            )
+
+    def test_steepest_finite_tail_keeps_the_power_law(self):
+        cfg = SyntheticConfig(
+            num_categories=10_000, vocab_size=20_000, queries_per_category=1, tail_exponent=-76.0
+        )
+        counts = _category_counts(cfg)
+        assert counts.sum() == 10_000 and counts[-1] > counts[-2] > 1
 
     def test_vocab_too_small_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Training loop, Adam, config field, and checkpoint format tests."""
 
 import dataclasses
+import inspect
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import weighted_sum
 from intentmatch import autodiff as ad
 from intentmatch.cli import main
 from intentmatch.errors import (
@@ -17,6 +19,7 @@ from intentmatch.errors import (
     NonFiniteError,
     VersionMismatchError,
 )
+from intentmatch.evaluation import evaluate
 from intentmatch import model as model_module, training
 from intentmatch.model import VARIANTS, Model, ModelConfig, multilabel_loss
 from intentmatch.synthetic import SyntheticConfig, generate_synthetic
@@ -62,7 +65,7 @@ class TestAdam:
         trajectory = [abs(w.data.item())]
         for _ in range(50):
             with ad.Tape() as tape:
-                loss = ad.reduce_sum(w * w)
+                loss = weighted_sum(w, w)
             ad.backward(loss, tape)
             adam_step([("w", w)], state)
             trajectory.append(abs(w.data.item()))
@@ -224,7 +227,7 @@ class TestBatchedGradients:
         for ex in batch:
             with ad.Tape() as tape:
                 logits = model.forward(ex.query, model.encode_categories(cats))
-                loss = multilabel_loss(logits, ex.labels) * (1.0 / len(batch))
+                loss = weighted_sum(multilabel_loss(logits, ex.labels), [1.0 / len(batch)])
             ad.backward(loss, tape)
             loss_sum += float(loss.data)
             for n, t in model.parameters():
@@ -263,14 +266,14 @@ class TestBatchedGradients:
         assert lengths[0] == lengths[1]
 
     def test_c4_step_tape_length(self, monkeypatch):
-        """One C4 step (default synthetic set, d=32, batch 32) records 77 nodes."""
+        """One C4 step (default synthetic set, d=32, batch 32) records 75 nodes."""
         data = generate_synthetic(SyntheticConfig())
         config = ModelConfig(vocab_size=len(data.vocab), num_categories=len(data.categories), d=32)
         model = Model(config, np.random.default_rng(0))
         lengths = []
         monkeypatch.setattr(training.ad, "backward", lambda loss, tape: lengths.append(len(tape)))
         batch_gradients(model, data.train[:32], data.categories)
-        assert lengths == [77]
+        assert lengths == [75]
 
     def test_c4_step_traced_peak(self):
         """One C4 step allocates at most 18.5 MiB at its peak, as numpy reports to tracemalloc.
@@ -290,6 +293,36 @@ class TestBatchedGradients:
         finally:
             tracemalloc.stop()
         assert peak <= 18.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+class TestEngineSurface:
+    def test_the_model_calls_every_public_engine_function_but_the_test_heads(self, monkeypatch):
+        """The engine keeps only the ops the model uses: building a model, one
+        `batch_gradients` and one `evaluate` call every public function of `autodiff`
+        except `maxpool2d` (C2, a perfbench hook) and `reduce_sum` (the tests' scalar
+        head).  Model code reaches every op as an `ad.` attribute and the engine's own
+        calls and operators go through its module globals, so patching the module sees
+        them all."""
+        called = set()
+
+        def recorder(name, fn):
+            def record(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+
+            return record
+
+        public = {
+            name for name, fn in vars(ad).items()
+            if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and name[0] != "_"
+        }
+        for name in public:
+            monkeypatch.setattr(ad, name, recorder(name, getattr(ad, name)))
+        model, data = tiny_setup()
+        batch_gradients(model, data.train[:4], data.categories)
+        evaluate(model, data.test, data.categories)
+        assert {"conv2d", "attention", "sigmoid_cross_entropy", "backward"} <= called
+        assert public - called <= {"maxpool2d", "reduce_sum"}
 
 
 class TestMapTiles:
