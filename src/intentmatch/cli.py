@@ -138,9 +138,9 @@ def make_parser():
 
 def cmd_gen(args):
     cfg = _config_from(SyntheticConfig, vars(args))
-    data = generate_synthetic(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    data = generate_synthetic(cfg)
     save_vocab(out / "vocab.txt", data.vocab)
     save_categories(out / "categories.tsv", data.categories)
     save_dataset(out / "train.tsv", data.train)
@@ -253,12 +253,13 @@ def cmd_predict(args):
 _HANDLERS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "predict": cmd_predict}
 
 # the exit code of each error a command ends in with one `error:` line.  Of
-# the OSErrors only those of a path that cannot be opened are listed: an I/O
-# failure on an open file, such as a full disk, is not a bad input and
-# propagates.  A MemoryError is a size flag (or file) too large for the host.
+# the OSErrors only those of a path that cannot be opened or made a directory
+# are listed: an I/O failure on an open file, such as a full disk, is not a
+# bad input and propagates.  A MemoryError is a size flag (or file) too
+# large for the host.
 _EXIT_CODES = {
-    FileNotFoundError: 2, IsADirectoryError: 2, NotADirectoryError: 2, PermissionError: 2,
-    ConfigError: 2, DataFormatError: 2, VocabError: 2, MemoryError: 2,
+    FileNotFoundError: 2, FileExistsError: 2, IsADirectoryError: 2, NotADirectoryError: 2,
+    PermissionError: 2, ConfigError: 2, DataFormatError: 2, VocabError: 2, MemoryError: 2,
     CheckpointError: 3, NonFiniteError: 4,
 }
 

@@ -18,9 +18,23 @@ from .errors import ConfigError, VocabError
 LAYERNORM_EPS = 1e-5
 
 
-def _zeros(shape):
-    t = ad.Tensor(np.zeros(shape), requires_grad=True)
-    return t
+class EncoderLayer(ad.Params):
+    """One post-norm layer: attention, then feed-forward, each with residual and layer norm."""
+
+    def __init__(self, d, ffn, rng):
+        super().__init__()
+        self.w_q = self.add("w_q", ad.parameter(rng, (d, d), d))
+        self.w_k = self.add("w_k", ad.parameter(rng, (d, d), d))
+        self.w_v = self.add("w_v", ad.parameter(rng, (d, d), d))
+        self.w_o = self.add("w_o", ad.parameter(rng, (d, d), d))
+        self.ln1_g = self.add("ln1_g", ad.Tensor(np.ones(d), requires_grad=True))
+        self.ln1_b = self.add("ln1_b", ad.Tensor(np.zeros(d), requires_grad=True))
+        self.ffn_w1 = self.add("ffn_w1", ad.parameter(rng, (d, ffn), d))
+        self.ffn_b1 = self.add("ffn_b1", ad.Tensor(np.zeros(ffn), requires_grad=True))
+        self.ffn_w2 = self.add("ffn_w2", ad.parameter(rng, (ffn, d), ffn))
+        self.ffn_b2 = self.add("ffn_b2", ad.Tensor(np.zeros(d), requires_grad=True))
+        self.ln2_g = self.add("ln2_g", ad.Tensor(np.ones(d), requires_grad=True))
+        self.ln2_b = self.add("ln2_b", ad.Tensor(np.zeros(d), requires_grad=True))
 
 
 class EncoderParams(ad.Params):
@@ -34,38 +48,9 @@ class EncoderParams(ad.Params):
         self.num_heads = config.encoder_heads
         self.tok_emb = self.add("tok_emb", ad.parameter(rng, (config.vocab_size, d), d))
         self.pos_emb = self.add("pos_emb", ad.parameter(rng, (max(config.l_q, config.l_c), d), d))
-        self.layers = []
-        for i in range(config.encoder_layers):
-            layer = {
-                "w_q": ad.parameter(rng, (d, d), d),
-                "w_k": ad.parameter(rng, (d, d), d),
-                "w_v": ad.parameter(rng, (d, d), d),
-                "w_o": ad.parameter(rng, (d, d), d),
-                "ln1_g": ad.Tensor(np.ones(d), requires_grad=True),
-                "ln1_b": _zeros(d),
-                "ffn_w1": ad.parameter(rng, (d, ffn), d),
-                "ffn_b1": _zeros(ffn),
-                "ffn_w2": ad.parameter(rng, (ffn, d), ffn),
-                "ffn_b2": _zeros(d),
-                "ln2_g": ad.Tensor(np.ones(d), requires_grad=True),
-                "ln2_b": _zeros(d),
-            }
-            for key, tensor in layer.items():
-                self.add(f"layer{i}.{key}", tensor)
-            self.layers.append(layer)
-
-
-def _attention_block(x, layer, key_mask, num_heads):
-    """Multi-head self-attention over [B, L, d], then the residual and layer norm."""
-    attended = ad.attention(
-        x, layer["w_q"], layer["w_k"], layer["w_v"], layer["w_o"], key_mask, num_heads
-    )
-    return ad.layer_norm(x + attended, layer["ln1_g"], layer["ln1_b"], LAYERNORM_EPS)
-
-
-def _ffn_block(x, layer):
-    out = ad.feed_forward(x, layer["ffn_w1"], layer["ffn_b1"], layer["ffn_w2"], layer["ffn_b2"])
-    return ad.layer_norm(x + out, layer["ln2_g"], layer["ln2_b"], LAYERNORM_EPS)
+        self.layers = [
+            self.add(f"layer{i}", EncoderLayer(d, ffn, rng)) for i in range(config.encoder_layers)
+        ]
 
 
 def length_mask(lengths, length):
@@ -91,6 +76,10 @@ def encode(ids, lengths, params):
     x = ad.embedding(params.tok_emb, ids) + ad.embedding(params.pos_emb, np.arange(length))
     key_mask = length_mask(lengths, length)
     for layer in params.layers:
-        x = _attention_block(x, layer, key_mask, params.num_heads)
-        x = _ffn_block(x, layer)
+        attended = ad.attention(
+            x, layer.w_q, layer.w_k, layer.w_v, layer.w_o, key_mask, params.num_heads
+        )
+        x = ad.layer_norm(x + attended, layer.ln1_g, layer.ln1_b, LAYERNORM_EPS)
+        out = ad.feed_forward(x, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2)
+        x = ad.layer_norm(x + out, layer.ln2_g, layer.ln2_b, LAYERNORM_EPS)
     return x

@@ -73,6 +73,7 @@ class ModelConfig:
             raise ConfigError("vocab must include at least PAD and UNK")
         if self.d % self.encoder_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by encoder_heads={self.encoder_heads}")
+        conv_stack_dims(self)  # the conv/pool stack must fit an l_q x l_c map
 
 
 def conv_stack_dims(config):
@@ -271,7 +272,6 @@ class Model(ad.Params):
     def __init__(self, config, rng):
         super().__init__()
         self.config = config
-        flat_dim(config)  # validate conv arithmetic before allocating
         self.encoder = self.add("encoder", EncoderParams(config, rng))
         self.self_params = self.char_params = self.semantic_params = None
         if config.variant != "no_self":

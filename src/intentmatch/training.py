@@ -282,10 +282,9 @@ def load_checkpoint(path, vocab, cats):
 
     model_cfg = _header_value(path, header, "model")
     try:
-        model = Model(ModelConfig(**model_cfg), np.random.default_rng(0))
+        config = ModelConfig(**model_cfg)
     except (TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f'{path}: bad "model" block: {exc}') from exc
-    config = model.config
     if config.num_categories != len(cats):
         raise ConfigMismatchError(
             f"checkpoint built for {config.num_categories} categories, "
@@ -308,6 +307,8 @@ def load_checkpoint(path, vocab, cats):
             f"{cats_sha!s:.12}..., loaded set {cats.fingerprint()[:12]}..."
         )
 
+    # built only once the vocab and category counts match the files
+    model = Model(config, np.random.default_rng(0))
     named = model.parameters()
     if _manifest(named) != _header_value(path, header, "params"):
         raise CorruptCheckpointError(

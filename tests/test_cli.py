@@ -314,6 +314,28 @@ class TestExitCodes:
         rc, err = self.run(capsys, argv)
         assert rc == 2 and "ghost.txt" in err
 
+    def test_conv_stack_that_does_not_fit_exits_2_before_the_train_file_is_read(
+        self, tmp_path, capsys, tiny_data
+    ):
+        argv = train_argv(tiny_data, tmp_path)
+        argv[argv.index("--train-file") + 1] = str(tmp_path / "ghost.tsv")
+        rc, err = self.run(capsys, [*argv, "--l-q", "2"])
+        assert rc == 2 and "conv/pool block 1: window 3x3 exceeds input 2x32" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_existing_file_as_gen_out_dir_exits_2_before_generating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        monkeypatch.setattr(
+            cli, "generate_synthetic", lambda cfg: pytest.fail("generated before the mkdir")
+        )
+        rc, err = self.run(capsys, ["gen", "--out-dir", str(afile), *TINY_GEN])
+        assert rc == 2 and str(afile) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert afile.read_text() == "keep\n"
+
     def test_malformed_dataset_exits_2_naming_the_line(self, tmp_path, capsys, tiny_data):
         bad = tmp_path / "bad.tsv"
         bad.write_text("abc\t0\nno tab here\n", encoding="utf-8")

@@ -23,6 +23,7 @@ def tiny_params(seed=0, **overrides):
     defaults = dict(
         vocab_size=8, num_categories=1, d=4, encoder_layers=1, encoder_heads=2,
         encoder_ffn=8, l_q=6, l_c=6,
+        conv_blocks=1, conv_window=(1, 1), pool_window=(1, 1), pool_stride=(1, 1),
     )
     defaults.update(overrides)
     return EncoderParams(ModelConfig(**defaults), np.random.default_rng(seed))
@@ -61,7 +62,7 @@ class TestConfig:
 
     def test_ffn_width_defaults_to_4d(self):
         p = tiny_params(d=16, encoder_ffn=0)
-        assert p.layers[0]["ffn_w1"].shape == (16, 64)
+        assert p.layers[0].ffn_w1.shape == (16, 64)
 
     def test_vocab_needs_pad_and_unk(self):
         with pytest.raises(ConfigError, match="PAD and UNK"):

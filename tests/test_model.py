@@ -243,7 +243,10 @@ class TestCharMatch:
          ConfigError, "block 2: window 3x3 exceeds input 1x3"),
         (lambda: conv_stack_dims(ModelConfig(vocab_size=8, num_categories=2, l_q=8, l_c=8)),
          ConfigError, "block 2: window 2x2 exceeds input 1x1"),
-    ], ids=["conv2d", "maxpool2d", "block-1-conv", "block-2-conv", "block-2-pool"])
+        # the rule is the config's own: no Model is needed to meet it
+        (lambda: ModelConfig(vocab_size=8, num_categories=2, l_q=2),
+         ConfigError, "block 1: window 3x3 exceeds input 2x32"),
+    ], ids=["conv2d", "maxpool2d", "block-1-conv", "block-2-conv", "block-2-pool", "config"])
     def test_window_exceeding_its_input(self, call, error, message):
         with pytest.raises(error, match=message):
             call()

@@ -385,10 +385,11 @@ MALFORMED_HEADERS = {
 
 
 # [name, shape] of every tensor, in checkpoint order, at MANIFEST_CONFIG; the
-# vocab is the 26 tokens of tiny_setup's data and conv_blocks=2 pins the
-# kernel/bias interleave
+# vocab is the 26 tokens of tiny_setup's data, encoder_layers=2 pins that every
+# layer1 tensor follows all of layer0, and conv_blocks=2 pins the kernel/bias
+# interleave
 MANIFEST_CONFIG = dict(
-    vocab_size=26, num_categories=3, d=4, l_q=12, l_c=12, encoder_layers=1,
+    vocab_size=26, num_categories=3, d=4, l_q=12, l_c=12, encoder_layers=2,
     encoder_heads=2, encoder_ffn=6, conv_filters=2, conv_blocks=2,
 )
 ENCODER_MANIFEST = [
@@ -406,6 +407,18 @@ ENCODER_MANIFEST = [
     ["encoder.layer0.ffn_b2", [4]],
     ["encoder.layer0.ln2_g", [4]],
     ["encoder.layer0.ln2_b", [4]],
+    ["encoder.layer1.w_q", [4, 4]],
+    ["encoder.layer1.w_k", [4, 4]],
+    ["encoder.layer1.w_v", [4, 4]],
+    ["encoder.layer1.w_o", [4, 4]],
+    ["encoder.layer1.ln1_g", [4]],
+    ["encoder.layer1.ln1_b", [4]],
+    ["encoder.layer1.ffn_w1", [4, 6]],
+    ["encoder.layer1.ffn_b1", [6]],
+    ["encoder.layer1.ffn_w2", [6, 4]],
+    ["encoder.layer1.ffn_b2", [4]],
+    ["encoder.layer1.ln2_g", [4]],
+    ["encoder.layer1.ln2_b", [4]],
 ]
 MANIFESTS = {
     "full": ENCODER_MANIFEST + [
@@ -551,6 +564,21 @@ class TestCheckpoint:
         )
         with pytest.raises(ConfigMismatchError, match=r"3.*4"):
             load_checkpoint(path, data.vocab, grown.categories)
+
+    def test_inflated_vocab_size_is_rejected_before_any_weight_is_drawn(self, tmp_path):
+        """A header claiming 400,000 tokens would mean a 12 MiB embedding table at d=4."""
+        model, data = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, data.vocab, data.categories)
+        rewrite_header(path, lambda h: {**h, "model": {**h["model"], "vocab_size": 400_000}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigMismatchError, match="vocab size 400000"):
+                load_checkpoint(path, data.vocab, data.categories)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_vocab_fingerprint_mismatch(self, tmp_path):
         model, data = tiny_setup()
