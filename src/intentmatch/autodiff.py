@@ -1,8 +1,9 @@
 """Dense float64 tensor engine with reverse-mode differentiation.
 
 A :class:`Tensor` wraps a numpy float64 array: row-major, except that
-``conv2d`` and ``maxpool2d`` (a unit-kernel ``conv2d``), which take [N,C,H,W]
-inputs only, return [N,C,H,W] views of batch-innermost [C,H,W,N] buffers.
+``conv2d``, which takes [N,C,H,W] inputs only, returns an [N,C,H,W] view of a
+batch-innermost [C,H,W,N] buffer, and ``maxpool2d`` (a unit-kernel
+``conv2d``) a reshaped view of that conv's buffer.
 While a :class:`Tape` is active (``with Tape() as tape:``), every operation
 whose inputs participate in the gradient graph appends one node;
 ``backward`` replays the tape in reverse and accumulates ``dLoss/dX`` into
@@ -14,10 +15,10 @@ gradient reaches it, when the buffer is allocated, and goes back to
 ``None`` when it is released.  ``backward`` releases each tape output's
 buffer as soon as its node has been replayed (a node whose output received
 no gradient is skipped); any other tensor, a parameter say, keeps
-accumulating across ``backward`` calls until ``zero_grad`` (or an optimizer
-step) releases it.  Calling ``backward`` twice on the same tape therefore
-doubles the parameter gradients and nothing else, and after it returns
-every tape output's ``.grad`` is ``None``.
+accumulating across ``backward`` calls until ``t.grad = None`` (or an
+optimizer step) releases it.  Calling ``backward`` twice on the same tape
+therefore doubles the parameter gradients and nothing else, and after it
+returns every tape output's ``.grad`` is ``None``.
 
 Forward results are deterministic: identical inputs produce bit-identical
 outputs (single-threaded numpy, no stochastic ops).
@@ -86,9 +87,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -175,7 +173,7 @@ def backward(loss, tape):
     each output's buffer is released right after its node is replayed, and
     a node whose output received no gradient is skipped.  Leaf gradients
     accumulate across calls (callers release them via the optimizer or
-    `zero_grad`).
+    `t.grad = None`).
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -396,13 +394,7 @@ def _softmax_grad(y, g, axis):
 
 
 # ---------------------------------------------------------------------------
-# reductions and normalization
-
-
-def reduce_sum(a):
-    """The sum of every element, as a scalar."""
-    out = Tensor(a.data.sum())
-    return _record(out, (a,), lambda g: _accumulate(a, np.broadcast_to(g, a.data.shape)))
+# normalization
 
 
 def layer_norm(x, gamma, beta, eps):
@@ -657,14 +649,11 @@ def maxpool2d(x, window, stride):
 
     The pooled `conv2d` of each map alone, with a 1x1 unit kernel and a zero
     bias: x*1.0 + 0.0 is exact except that -0.0 comes out as +0.0, a NaN
-    stays in its own map, and backward is `conv2d`'s.  The result is copied
-    to `conv2d`'s batch-innermost layout, so a ReLU and a conv that follow
-    stay batch-innermost.
+    stays in its own map, and backward is `conv2d`'s.  The result is a view
+    of that conv's buffer.
     """
     _require_4d("maxpool2d", x)
     n, c, h, w = x.shape
     unit, zero = Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1))
     maps = conv2d(reshape(x, (n * c, 1, h, w)), unit, zero, pool=(window, stride))
-    pooled = reshape(maps, (n, c, *maps.shape[2:]))
-    out = Tensor(_from_batch_innermost(_batch_innermost(pooled.data)))
-    return _record(out, (pooled,), lambda g: _accumulate(pooled, g))
+    return reshape(maps, (n, c, *maps.shape[2:]))

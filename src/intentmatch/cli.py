@@ -38,7 +38,7 @@ from .errors import (
 )
 from .evaluation import (
     DEFAULT_THRESHOLD,
-    decide,
+    check_threshold,
     evaluate,
     probabilities,
     render_ablation_table,
@@ -153,7 +153,10 @@ def cmd_gen(args):
 
 
 def cmd_train(args):
-    check_output_paths(args.checkpoint_out, args.loss_log)
+    check_output_paths(
+        [args.checkpoint_out, args.loss_log],
+        [args.train_file, args.categories_file, args.vocab_file],
+    )
     tc = _config_from(TrainConfig, vars(args))
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
@@ -191,11 +194,16 @@ def _config_header_lines(extra, threshold):
 
 
 def cmd_eval(args):
+    check_threshold(args.threshold)
     ablation = args.ablation_out is not None
     if ablation != (args.train_file is not None):
         raise ConfigError("--ablation-out and --train-file must be given together")
-    outputs = [args.report_out, args.records_out] + ([args.ablation_out] if ablation else [])
-    check_output_paths(*outputs)
+    inputs = [args.checkpoint, args.data_file, args.categories_file, args.vocab_file]
+    outputs = [args.report_out, args.records_out]
+    if ablation:
+        inputs.append(args.train_file)
+        outputs.append(args.ablation_out)
+    check_output_paths(outputs, inputs)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
@@ -232,13 +240,14 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
+    check_threshold(args.threshold)
     vocab = load_vocab(args.vocab_file)
     cats = load_categories(args.categories_file, vocab)
     loaded = load_checkpoint(args.checkpoint, vocab, cats)
     model = loaded.model
     logits = model.forward(tokenize(args.query, vocab), model.encode_categories(cats))
     probs = probabilities(logits)
-    chosen = decide(logits, args.threshold)
+    chosen = probs >= args.threshold
     order = np.argsort(-probs, kind="stable")
     print(f"# query: {args.query!r}  threshold: {args.threshold:g}")
     run_cfg = loaded.extra.get("run_config", {})

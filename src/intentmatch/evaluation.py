@@ -32,10 +32,15 @@ def probabilities(logits):
     return ad.stable_sigmoid(np.asarray(getattr(logits, "data", logits), dtype=np.float64))
 
 
-def decide(logits, threshold=DEFAULT_THRESHOLD):
-    """Binary label vector: sigmoid(logit) >= threshold, inclusive."""
+def check_threshold(threshold):
+    """Raise ConfigError unless 0 < threshold < 1."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def decide(logits, threshold=DEFAULT_THRESHOLD):
+    """Binary label vector: sigmoid(logit) >= threshold, inclusive."""
+    check_threshold(threshold)
     return (probabilities(logits) >= threshold).astype(np.float64)
 
 

@@ -179,18 +179,28 @@ def atomic_output(path):
             os.remove(tmp)
 
 
-def check_output_paths(*paths):
-    """Check, before any work, that `atomic_output` can write each of `paths`.
+def check_output_paths(outputs, inputs):
+    """Check, before any work, that `atomic_output` can write each of `outputs`
+    without replacing one of `inputs` or another output.
 
-    A missing directory raises FileNotFoundError naming it; a path that is
-    itself a directory raises IsADirectoryError.
+    An empty path, or one that resolves to the same file as an input or an
+    earlier output, raises ConfigError; a missing directory raises
+    FileNotFoundError naming it; a path that is itself a directory raises
+    IsADirectoryError.
     """
-    for path in paths:
+    taken = {os.path.realpath(p): f"input {p}" for p in inputs}
+    for path in outputs:
+        if not os.fspath(path):
+            raise ConfigError("an output path is empty")
         head = os.path.dirname(os.fspath(path)) or "."
         if not os.path.isdir(head):
             raise FileNotFoundError(f"no such directory: {head} (for output {path})")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output {path} is a directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"output {path} is the same file as {taken[real]}")
+        taken[real] = f"output {path}"
 
 
 def write_text(path, text):

