@@ -99,7 +99,13 @@ class Tensor:
 
 
 def parameter(rng, shape, fan_in):
-    """Trainable tensor, uniform in [-sqrt(1/fan_in), +sqrt(1/fan_in)]."""
+    """Trainable tensor, uniform in [-sqrt(1/fan_in), +sqrt(1/fan_in)].
+
+    With `rng` None nothing is drawn: the array is uninitialised, for a
+    caller that fills every value itself, as a checkpoint load does.
+    """
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
     bound = float(np.sqrt(1.0 / fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 

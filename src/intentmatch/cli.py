@@ -13,9 +13,13 @@ headers and the run_config `eval --ablation-out` retrains from meet one rule.
 Exit codes (`_EXIT_CODES`): 0 success; 2 a file that cannot be read or
 written, or an invalid flag, config, dataset, vocab or category file; 3 an
 unreadable, malformed or mismatched checkpoint, a header field of the wrong
-JSON type included; 4 training diverged (a NaN or infinite loss or
-parameter), in which case `train` writes neither the checkpoint nor the
-loss log.  An array too large to allocate (`train --l-c 100000`) exits 2.
+JSON type and a header describing a model too large to allocate included;
+4 training diverged (a NaN or infinite loss or parameter), in which case
+`train` writes neither the checkpoint nor the loss log.  An array a flag
+makes too large to allocate (`train --l-c 100000`) exits 2.
+
+`main` builds the parser of the command that argv names, and of all four
+only when argv names none (`--help`, an unknown command, an empty argv).
 """
 
 from __future__ import annotations
@@ -94,18 +98,13 @@ def _config_from(cls, values, **fixed):
     return cls(**{name: values[name] for name in names}, **fixed)
 
 
-def make_parser():
-    parser = argparse.ArgumentParser(
-        prog="intentmatch",
-        description="Multi-label query intent classifier: synthesize data, "
-        "train, evaluate, predict.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _gen_parser(sub):
     g = sub.add_parser("gen", help="write a synthetic labeled-query dataset")
     g.add_argument("--out-dir", required=True)
     _add_config_flags(g, SyntheticConfig)
 
+
+def _train_parser(sub):
     t = sub.add_parser("train", help="train a model and write a checkpoint")
     t.add_argument("--train-file", required=True)
     t.add_argument("--categories-file", required=True)
@@ -115,6 +114,8 @@ def make_parser():
     _add_config_flags(t, ModelConfig, skip=_DATA_FIELDS)
     _add_config_flags(t, TrainConfig)
 
+
+def _eval_parser(sub):
     e = sub.add_parser("eval", help="score a dataset against a checkpoint")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data-file", required=True)
@@ -127,12 +128,36 @@ def make_parser():
                    "--train-file and write their comparison table here")
     e.add_argument("--train-file", help="training data, required with --ablation-out")
 
+
+def _predict_parser(sub):
     q = sub.add_parser("predict", help="rank categories for one query")
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--categories-file", required=True)
     q.add_argument("--vocab-file", required=True)
     q.add_argument("--query", required=True)
     q.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+
+
+_SUBPARSERS = {"gen": _gen_parser, "train": _train_parser, "eval": _eval_parser,
+               "predict": _predict_parser}
+
+
+def make_parser(command=None):
+    """The parser of every command, or of `command` alone when it names one.
+
+    A one-command parser parses that command's argv as the full parser
+    does, and its usage line still lists all four commands.
+    """
+    parser = argparse.ArgumentParser(
+        prog="intentmatch",
+        description="Multi-label query intent classifier: synthesize data, "
+        "train, evaluate, predict.",
+    )
+    names = [command] if command in _SUBPARSERS else list(_SUBPARSERS)
+    metavar = "{" + ",".join(_SUBPARSERS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _SUBPARSERS[name](sub)
     return parser
 
 
@@ -274,7 +299,8 @@ _EXIT_CODES = {
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except tuple(_EXIT_CODES) as exc:

@@ -267,7 +267,12 @@ def multilabel_loss(logits, labels):
 
 
 class Model(ad.Params):
-    """Bundles every trainable tensor with the forward composition."""
+    """Bundles every trainable tensor with the forward composition.
+
+    `rng` draws the initial weights. With `rng` None nothing is drawn: the
+    weights `ad.parameter` would draw are left uninitialised, for a caller
+    that overwrites every weight, as `load_checkpoint` does.
+    """
 
     def __init__(self, config, rng):
         super().__init__()

@@ -224,8 +224,10 @@ def save_checkpoint(path, model, vocab, cats, adam_state=None, extra=None):
 
 
 class _Reader:
+    """Reads a checkpoint's bytes front to back through a memoryview, so no read copies."""
+
     def __init__(self, raw, path):
-        self.raw = raw
+        self.raw = memoryview(raw)
         self.path = path
         self.pos = 0
 
@@ -239,17 +241,28 @@ class _Reader:
         self.pos += n
         return out
 
-    def tensor(self, shape, what):
-        (nbytes,) = struct.unpack("<Q", self.take(8, f"{what} length"))
-        expected = int(np.prod(shape, dtype=np.int64)) * 8
-        if nbytes != expected:
-            raise CorruptCheckpointError(
-                f"{self.path}: {what} payload is {nbytes} bytes, expected {expected}"
-            )
-        arr = np.frombuffer(self.take(nbytes, what), dtype="<f8").reshape(shape).copy()
-        if not np.isfinite(arr).all():
+    def tensors(self, targets):
+        """Fill each array of the (name, array) pairs `targets` from the next payloads, in order.
+
+        Each payload is copied once, straight into its array.  The section
+        is checked for a NaN or infinity as a whole, and a failure names
+        the first tensor that holds one.
+        """
+        start = self.pos
+        for what, arr in targets:
+            (nbytes,) = struct.unpack("<Q", self.take(8, f"{what} length"))
+            expected = math.prod(arr.shape) * 8
+            if nbytes != expected:
+                raise CorruptCheckpointError(
+                    f"{self.path}: {what} payload is {nbytes} bytes, expected {expected}"
+                )
+            arr[...] = np.frombuffer(self.take(nbytes, what), dtype="<f8").reshape(arr.shape)
+        # the u64 length words read as finite f64s: only words from 0x7FF0 << 48
+        # (9.2e18) up do not, and each one here is the size of a payload in the file
+        section = np.frombuffer(self.raw[start : self.pos], dtype="<f8")
+        if not np.isfinite(section).all():
+            what = next(what for what, arr in targets if not np.isfinite(arr).all())
             raise CorruptCheckpointError(f"{self.path}: {what} holds a NaN or infinite value")
-        return arr
 
 
 def _header_value(path, block, key, where="header"):
@@ -276,7 +289,7 @@ def load_checkpoint(path, vocab, cats):
     (blob_len,) = struct.unpack("<I", r.take(4, "config length"))
     blob = r.take(blob_len, "config")
     try:
-        header = json.loads(blob.decode("utf-8"))
+        header = json.loads(str(blob, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"{path}: unreadable config block: {exc}") from exc
 
@@ -307,15 +320,20 @@ def load_checkpoint(path, vocab, cats):
             f"{cats_sha!s:.12}..., loaded set {cats.fingerprint()[:12]}..."
         )
 
-    # built only once the vocab and category counts match the files
-    model = Model(config, np.random.default_rng(0))
+    # built only once the vocab and category counts match the files, and
+    # with no weights drawn: the payloads fill every value
+    try:
+        model = Model(config, None)
+    except (MemoryError, ValueError) as exc:  # ValueError: numpy's "array is too big"
+        raise CorruptCheckpointError(
+            f'{path}: "model" block describes a model too large to allocate: {exc}'
+        ) from exc
     named = model.parameters()
     if _manifest(named) != _header_value(path, header, "params"):
         raise CorruptCheckpointError(
             f"{path}: parameter manifest does not match the stored config"
         )
-    for name, tensor in named:
-        tensor.data[...] = r.tensor(tensor.shape, name)
+    r.tensors([(name, tensor.data) for name, tensor in named])
 
     adam_state = None
     opt = _header_value(path, header, "optimizer")
@@ -328,9 +346,13 @@ def load_checkpoint(path, vocab, cats):
             adam_state = AdamState(**values)
         except ConfigError as exc:
             raise CorruptCheckpointError(f'{path}: bad "optimizer" block: {exc}') from exc
+        moments = []
         for name, tensor in named:
-            adam_state.m[name] = r.tensor(tensor.shape, f"adam m[{name}]")
-            adam_state.v[name] = r.tensor(tensor.shape, f"adam v[{name}]")
+            adam_state.m[name] = np.empty(tensor.shape)
+            adam_state.v[name] = np.empty(tensor.shape)
+            moments += [(f"adam m[{name}]", adam_state.m[name]),
+                        (f"adam v[{name}]", adam_state.v[name])]
+        r.tensors(moments)
     if r.pos != len(raw):
         raise CorruptCheckpointError(
             f"{path}: {len(raw) - r.pos} trailing bytes after the last tensor"

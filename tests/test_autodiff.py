@@ -1283,6 +1283,11 @@ class TestDeterminism:
         bound = np.sqrt(1.0 / 20)
         assert np.all(np.abs(p1.data) <= bound)
 
+    def test_parameter_without_rng_draws_nothing(self):
+        p = ad.parameter(None, (50, 20), fan_in=20)
+        assert p.shape == (50, 20) and p.data.dtype == np.float64
+        assert p.requires_grad and p.grad is None
+
 
 class TestParams:
     def test_add_returns_value_and_keeps_declaration_order(self):

@@ -228,6 +228,54 @@ class TestGenFlags:
         assert info.value.code == 2
 
 
+PREDICT_REQUIRED = ["--checkpoint", "m.ckpt", "--categories-file", "c.tsv", "--vocab-file", "v.txt"]
+
+# argv lists that argparse ends on: help, or an error it reports itself
+PARSER_CASES = {
+    "help": ["--help"],
+    **{f"{command} help": [command, "--help"] for command in ("gen", "train", "eval", "predict")},
+    "empty": [],
+    "unknown command": ["serve"],
+    "predict without --query": ["predict", *PREDICT_REQUIRED],
+    "train --lr x": ["train", *TRAIN_REQUIRED, "--lr", "x"],
+    # an unrecognized argument is reported by the top-level parser, with its usage line
+    "predict --bogus": ["predict", *PREDICT_REQUIRED, "--query", "q", "--bogus"],
+}
+
+
+def parse_outcome(parse, argv, capsys):
+    """The exit code, stdout and stderr of `parse(argv)`, which argparse ends."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+    def test_main_ends_as_the_full_parser_does(self, argv, capsys):
+        want = parse_outcome(make_parser().parse_args, argv, capsys)
+        assert parse_outcome(main, argv, capsys) == want
+
+    @pytest.mark.parametrize("argv, built", [
+        (["predict", "--help"], ["predict"]),
+        (["gen", "--help"], ["gen"]),
+        (["--help"], ["gen", "train", "eval", "predict"]),
+        (["serve"], ["gen", "train", "eval", "predict"]),
+    ])
+    def test_main_builds_only_the_named_command(self, argv, built, capsys, monkeypatch):
+        calls = []
+
+        def recorded(name, build):
+            return lambda sub: calls.append(name) or build(sub)
+
+        monkeypatch.setattr(
+            cli, "_SUBPARSERS", {n: recorded(n, b) for n, b in cli._SUBPARSERS.items()}
+        )
+        parse_outcome(main, argv, capsys)
+        assert calls == built
+
+
 # (command, flags, a word the error line must contain)
 MALFORMED_FLAGS = [
     ("train", ["--encoder-heads", "0"], "encoder_heads"),
@@ -867,6 +915,17 @@ class TestPredict:
         a = self.predict(data, ckpt, "abc", capsys)
         b = self.predict(data, ckpt, "abc", capsys)
         assert a == b
+
+    def test_each_call_reads_the_checkpoint_afresh(self, tmp_path, capsys):
+        """Nothing is kept between calls: a checkpoint rewritten in place is read anew."""
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path / "a", data)
+        other, _ = train(tmp_path / "b", data, ["--seed", "6"])
+        first = self.predict(data, ckpt, "abc", capsys)
+        shutil.copyfile(other, ckpt)
+        second = self.predict(data, ckpt, "abc", capsys)
+        assert second == self.predict(data, other, "abc", capsys)
+        assert self.parse_rows(second) != self.parse_rows(first)
 
     def test_empty_query_uses_unk_path(self, tmp_path, capsys):
         data = gen(tmp_path)

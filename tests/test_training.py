@@ -3,12 +3,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import weighted_sum
+import intentmatch
 from intentmatch import autodiff as ad
 from intentmatch.cli import main
 from intentmatch.errors import (
@@ -813,3 +818,79 @@ class TestHeaderFieldTypes:
         loaded = load_checkpoint(path, data.vocab, data.categories)
         holder = loaded.adam_state if block == "optimizer" else loaded.model.config
         assert getattr(holder, key) == (tuple(value) if isinstance(value, list) else value)
+
+
+# Run in a fresh interpreter: one `predict` on the given files, then its wall
+# time in ms and its rise in max RSS in KiB (ru_maxrss on Linux) as JSON.
+PREDICT_CHILD = """
+import contextlib, io, json, resource, sys, time
+from intentmatch import cli
+ckpt, cats, vocab = sys.argv[1:]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+err = io.StringIO()
+t0 = time.perf_counter()
+with contextlib.redirect_stderr(err):
+    rc = cli.main(["predict", "--checkpoint", ckpt, "--categories-file", cats,
+                   "--vocab-file", vocab, "--query", "abc"])
+ms = (time.perf_counter() - t0) * 1000.0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps({"rc": rc, "err": err.getvalue(), "ms": ms, "rss_kib": rss}))
+"""
+
+
+def predict_in_child(root, ckpt):
+    env = {**os.environ, "PYTHONPATH": str(Path(intentmatch.__file__).parents[1])}
+    argv = [str(ckpt), str(root / "categories.tsv"), str(root / "vocab.txt")]
+    proc = subprocess.run([sys.executable, "-c", PREDICT_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestNoDrawLoad:
+    """`load_checkpoint` builds its model without drawing weights."""
+
+    def test_load_draws_nothing(self, trained_files, monkeypatch):
+        root, data = trained_files
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(root / "m.ckpt", data.vocab, data.categories)
+        assert loaded.adam_state is not None
+
+    def test_inflated_l_c_is_refused_before_any_weight_is_touched(self, tmp_path):
+        """A d=32 header whose l_c is 100,000 describes a 100 MiB projection.
+
+        The manifest check refuses it before any of that memory is touched.
+        The child's max RSS is the measure: a tracemalloc peak would count the
+        untouched pages of the model's uninitialised arrays.
+        """
+        data = generate_synthetic(SyntheticConfig())
+        save_vocab(tmp_path / "vocab.txt", data.vocab)
+        save_categories(tmp_path / "categories.tsv", data.categories)
+        config = ModelConfig(vocab_size=len(data.vocab), num_categories=len(data.categories), d=32)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Model(config, np.random.default_rng(0)), data.vocab, data.categories)
+        rewrite_header(ckpt, lambda h: {**h, "model": {**h["model"], "l_c": 100_000}})
+        got = predict_in_child(tmp_path, ckpt)
+        assert got["rc"] == 3
+        assert got["err"] == f"error: {ckpt}: parameter manifest does not match the stored config\n"
+        assert got["ms"] < 50
+        assert got["rss_kib"] < 10 * 1024
+
+    def test_unallocatable_model_exits_3_naming_the_file(self, trained_files, tmp_path, capsys):
+        """d=4,000,000,000 asks numpy at once for a 0.76 TiB embedding table, or, where
+        the host overcommits, for a d x d matrix beyond numpy's maximum size."""
+        path = retyped_copy(trained_files, tmp_path, "model", "d", lambda v: 4_000_000_000)
+        root, _ = trained_files
+        rc = main([
+            "predict", "--checkpoint", str(path), "--query", "abc",
+            "--categories-file", str(root / "categories.tsv"),
+            "--vocab-file", str(root / "vocab.txt"),
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err.startswith(f'error: {path}: "model" block describes a model too large')
+        assert err.count("\n") == 1
