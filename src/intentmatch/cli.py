@@ -8,7 +8,8 @@ fixed line format with no room for headers).  Every file is written
 atomically.  The `gen` and `train` flags are generated from the fields, and
 take the defaults, of `SyntheticConfig` and of `ModelConfig`/`TrainConfig`.
 Each config dataclass checks its own field values, so flags, checkpoint
-headers and the run_config `eval --ablation-out` retrains from meet one rule.
+headers and the run_config `eval --ablation-out` retrains from meet one rule;
+that run_config must hold every `TrainConfig` field, as `train` stores it.
 
 Exit codes (`_EXIT_CODES`): 0 success; 2 a file that cannot be read or
 written, or an invalid flag, config, dataset, vocab or category file; 3 an
@@ -18,8 +19,9 @@ JSON type and a header describing a model too large to allocate included;
 `train` writes neither the checkpoint nor the loss log.  An array a flag
 makes too large to allocate (`train --l-c 100000`) exits 2.
 
-`main` builds the parser of the command that argv names, and of all four
-only when argv names none (`--help`, an unknown command, an empty argv).
+`_COMMANDS` holds each command's parser builder and handler.  `main` builds
+the parser of the command that argv names, and of all four only when argv
+names none (`--help`, an unknown command, an empty argv).
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ def _add_config_flags(p, cls, skip=()):
 
 
 def _config_from(cls, values, **fixed):
-    """A config dataclass from the fields the mapping `values` holds (other keys are ignored)."""
-    names = [f.name for f in dataclasses.fields(cls) if f.name in values]
+    """A config dataclass from the mapping `values`; a KeyError if it lacks a field not fixed."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
     return cls(**{name: values[name] for name in names}, **fixed)
 
 
@@ -138,10 +140,6 @@ def _predict_parser(sub):
     q.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
 
 
-_SUBPARSERS = {"gen": _gen_parser, "train": _train_parser, "eval": _eval_parser,
-               "predict": _predict_parser}
-
-
 def make_parser(command=None):
     """The parser of every command, or of `command` alone when it names one.
 
@@ -153,11 +151,11 @@ def make_parser(command=None):
         description="Multi-label query intent classifier: synthesize data, "
         "train, evaluate, predict.",
     )
-    names = [command] if command in _SUBPARSERS else list(_SUBPARSERS)
-    metavar = "{" + ",".join(_SUBPARSERS) + "}" if len(names) == 1 else None
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        _SUBPARSERS[name](sub)
+        _COMMANDS[name][0](sub)
     return parser
 
 
@@ -211,13 +209,6 @@ def _run_config_pairs(run_config):
     return " ".join(f"{k}={run_config[k]}" for k in sorted(run_config))
 
 
-def _config_header_lines(extra, threshold):
-    return [
-        f"run config (from checkpoint): {_run_config_pairs(extra.get('run_config', {}))}",
-        f"eval threshold: {threshold:g}",
-    ]
-
-
 def cmd_eval(args):
     check_threshold(args.threshold)
     ablation = args.ablation_out is not None
@@ -235,32 +226,32 @@ def cmd_eval(args):
     model = loaded.model
     run_cfg = loaded.extra.get("run_config", {})
     if ablation:
-        # retrain with the settings the checkpoint was built with
+        # retrain with the settings the checkpoint was built with, every one stored
         try:
             tc = _config_from(TrainConfig, run_cfg)
-        except (ConfigError, OverflowError) as exc:  # OverflowError: an int lr beyond float range
+        except KeyError as exc:
+            raise CorruptCheckpointError(
+                f"{args.checkpoint}: run_config has no {exc} field") from exc
+        except ConfigError as exc:
             raise CorruptCheckpointError(f"{args.checkpoint}: bad run_config: {exc}") from exc
         train_data = load_dataset(args.train_file, vocab, len(cats))
     data = load_dataset(args.data_file, vocab, len(cats))
     report = evaluate(model, data, cats, threshold=args.threshold)
 
-    header = _config_header_lines(loaded.extra, args.threshold)
-    text = "".join(h + "\n" for h in header) + "\n" + render_text_report(report)
-    write_text(args.report_out, text)
-
-    records = render_records(report)
-    run_rows = "".join(
-        f"run\t-\t{k}\t{run_cfg[k]}\n" for k in sorted(run_cfg)
-    )
-    write_text(args.records_out, run_rows + records)
-    print(render_text_report(report), end="")
+    header = (f"run config (from checkpoint): {_run_config_pairs(run_cfg)}\n"
+              f"eval threshold: {args.threshold:g}\n\n")
+    text = render_text_report(report)
+    write_text(args.report_out, header + text)
+    run_rows = "".join(f"run\t-\t{k}\t{run_cfg[k]}\n" for k in sorted(run_cfg))
+    write_text(args.records_out, run_rows + render_records(report))
+    print(text, end="")
 
     if ablation:
         base = dataclasses.replace(model.config, variant="full")
         results = run_ablation_suite(train_data, data, cats, base, tc, tc.seed, args.threshold)
-        table = "".join(h + "\n" for h in header) + "\n" + render_ablation_table(results)
-        write_text(args.ablation_out, table)
-        print(render_ablation_table(results), end="")
+        table = render_ablation_table(results)
+        write_text(args.ablation_out, header + table)
+        print(table, end="")
     return 0
 
 
@@ -284,7 +275,8 @@ def cmd_predict(args):
     return 0
 
 
-_HANDLERS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "predict": cmd_predict}
+_COMMANDS = {"gen": (_gen_parser, cmd_gen), "train": (_train_parser, cmd_train),
+             "eval": (_eval_parser, cmd_eval), "predict": (_predict_parser, cmd_predict)}
 
 # the exit code of each error a command ends in with one `error:` line.  Of
 # the OSErrors only those of a path that cannot be opened or made a directory
@@ -302,7 +294,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -1,7 +1,13 @@
-"""Exception types shared across the package, and the one check of config field values."""
+"""Exception types shared across the package, and the one check of config field values.
+
+`check_fields` checks each field's type, `choices` and `RANGES` interval, such as "[1, inf)";
+`check_range` is the one interval check, the thresholds' included.
+"""
 
 import dataclasses
+import functools
 import numbers
+import sys
 
 import numpy as np
 
@@ -15,7 +21,9 @@ def _fits(annotation, value):
     if annotation == "tuple[int, int]":
         return isinstance(value, tuple) and len(value) == 2 and all(_fits("int", v) for v in value)
     kind = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}[annotation]
-    return isinstance(value, kind) and not isinstance(value, bool)
+    # a float field takes a finite one: False for NaN, inf and an int beyond float range
+    return isinstance(value, kind) and not isinstance(value, bool) and (
+        annotation != "float" or abs(value) <= sys.float_info.max)
 
 
 def _plain(value):
@@ -25,23 +33,45 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def check_fields(config, minimums):
-    """Check each field of the dataclass `config` against its annotation, then `minimums`.
+@functools.cache
+def _bounds(interval):
+    """(low, high, low is open, high is open) of an interval such as "[0, 1)"."""
+    low, high = interval[1:-1].split(",")
+    return float(low), float(high), interval[0] == "(", interval[-1] == ")"
 
-    Raises ConfigError naming the first field that fails; a pair's minimum
-    applies to each element.  An accepted numpy scalar is replaced by the
-    Python number it holds, so the config serializes as JSON and sizes
-    behave as Python ints everywhere.
+
+def check_range(name, value, interval):
+    """Raise ConfigError unless `value`, or each element of a pair, lies in `interval`.
+
+    `interval` is written "[1, inf)", "(0, 1]" and so on; NaN lies in none.
+    """
+    low, high, low_open, high_open = _bounds(interval)
+    for v in value if isinstance(value, tuple) else (value,):
+        if not ((low < v if low_open else low <= v) and (v < high if high_open else v <= high)):
+            raise ConfigError(f"{name} must be in {interval}, got {value}")
+
+
+def check_fields(config, ranges):
+    """Check each field of the dataclass `config`: annotation, `choices` metadata, `ranges`.
+
+    Raises ConfigError naming the first field that fails.  A JSON list for a
+    pair becomes a tuple, and an accepted numpy scalar the Python number it
+    holds, so the config serializes as JSON and sizes behave as Python ints.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
+        if isinstance(value, list) and f.type == "tuple[int, int]":  # JSON has no tuples
+            value = tuple(value)
+        value = _plain(value)
         if not _fits(f.type, value):
-            raise ConfigError(f"{f.name} is {value!r}, expected {f.type}")
-        setattr(config, f.name, _plain(value))
-    for name, low in minimums.items():
-        value = getattr(config, name)
-        if (min(value) if isinstance(value, tuple) else value) < low:
-            raise ConfigError(f"{name} must be at least {low}, got {value}")
+            expected = "finite float" if f.type == "float" else f.type
+            raise ConfigError(f"{f.name} is {value!r}, expected {expected}")
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{f.name} is {value!r}, expected one of {choices}")
+        setattr(config, f.name, value)
+        if f.name in ranges:
+            check_range(f.name, value, ranges[f.name])
 
 
 class VocabError(ValueError):

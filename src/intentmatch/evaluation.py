@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .model import VARIANTS, Model
 from .training import TrainConfig, train
 
@@ -34,8 +34,7 @@ def probabilities(logits):
 
 def check_threshold(threshold):
     """Raise ConfigError unless 0 < threshold < 1."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
+    check_range("threshold", threshold, "(0, 1)")
 
 
 def decide(logits, threshold=DEFAULT_THRESHOLD):

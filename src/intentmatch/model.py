@@ -38,9 +38,6 @@ VARIANTS = ("full", "no_self", "no_char", "no_semantic")
 # tile's window columns, pooled conv output and ReLU stay in cache.
 MAP_TILE = 128
 
-_PAIRS = ("conv_window", "conv_stride", "pool_window", "pool_stride")
-
-
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -59,18 +56,16 @@ class ModelConfig:
     conv_blocks: int = 2
     variant: str = field(default="full", metadata={"choices": VARIANTS})
 
+    RANGES = dict(
+        vocab_size="[2, inf)",  # PAD and UNK at the least
+        num_categories="[1, inf)", d="[1, inf)", l_q="[1, inf)", l_c="[1, inf)",
+        encoder_layers="[0, inf)", encoder_heads="[1, inf)", encoder_ffn="[0, inf)",
+        conv_filters="[1, inf)", conv_window="[1, inf)", conv_stride="[1, inf)",
+        pool_window="[1, inf)", pool_stride="[1, inf)", conv_blocks="[1, inf)",
+    )
+
     def __post_init__(self):
-        for name in _PAIRS:
-            if isinstance(getattr(self, name), list):  # JSON has no tuples
-                setattr(self, name, tuple(getattr(self, name)))
-        check_fields(self, dict(
-            num_categories=1, d=1, l_q=1, l_c=1, encoder_layers=0, encoder_heads=1,
-            encoder_ffn=0, conv_filters=1, conv_blocks=1, **dict.fromkeys(_PAIRS, 1),
-        ))
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.vocab_size < 2:
-            raise ConfigError("vocab must include at least PAD and UNK")
+        check_fields(self, self.RANGES)
         if self.d % self.encoder_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by encoder_heads={self.encoder_heads}")
         conv_stack_dims(self)  # the conv/pool stack must fit an l_q x l_c map

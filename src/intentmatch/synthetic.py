@@ -59,10 +59,15 @@ class SyntheticConfig:
     query_len_min: int = 4
     query_len_max: int = 10
 
+    RANGES = dict(
+        num_categories="[2, inf)",
+        vocab_size=f"[4, {MAX_VOCAB_SIZE}]",  # two core tokens for each of two categories
+        queries_per_category="[1, inf)", seed="[0, inf)", multi_label_fraction="[0, 1]",
+        noise="[0, 1]", test_fraction="[0, 1]", query_len_min="[1, inf)",
+    )
+
     def __post_init__(self):
-        check_fields(self, dict(num_categories=2, queries_per_category=1, query_len_min=1, seed=0))
-        if self.vocab_size > MAX_VOCAB_SIZE:
-            raise ConfigError(f"vocab_size must be at most {MAX_VOCAB_SIZE}, got {self.vocab_size}")
+        check_fields(self, self.RANGES)
         if min(CORE_TOKENS_PER_CATEGORY, self.vocab_size // self.num_categories) < 2:
             raise ConfigError(
                 f"vocab of {self.vocab_size} cannot give {self.num_categories} categories "
@@ -72,8 +77,6 @@ class SyntheticConfig:
             raise ConfigError(
                 f"query_len_max {self.query_len_max} is below query_len_min {self.query_len_min}"
             )
-        if not math.isfinite(self.tail_exponent):
-            raise ConfigError(f"tail_exponent must be finite, got {self.tail_exponent}")
         try:
             with np.errstate(over="ignore"):
                 total = _category_weights(self).sum()
@@ -81,9 +84,6 @@ class SyntheticConfig:
             total = math.inf
         if math.isinf(total):
             raise ConfigError(f"tail_exponent {self.tail_exponent} overflows the category weights")
-        for name in ("multi_label_fraction", "noise", "test_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass

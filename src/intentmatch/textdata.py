@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_range
 
 PAD_ID = 0
 UNK_ID = 1
@@ -135,8 +135,7 @@ def filter_labels_by_cdf(click_counts, threshold):
     probability first reaches the threshold.  The crossing category is
     kept; everything after it is dropped.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+    check_range("threshold", threshold, "(0, 1]")
     if not click_counts:
         raise ConfigError("no categories to filter")
     if any(c < 0 for c in click_counts.values()):

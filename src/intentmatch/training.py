@@ -36,14 +36,6 @@ CHECKPOINT_MAGIC = b"MMAN"
 CHECKPOINT_VERSION = 1
 
 
-def _check_finite_positive(config, *names):
-    """Raise ConfigError unless each named field of `config` is a finite number above 0."""
-    for name in names:
-        value = getattr(config, name)
-        if not 0 < value < math.inf:  # False for NaN
-            raise ConfigError(f"{name} must be a finite number above 0, got {value}")
-
-
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments for one named parameter list."""
@@ -56,12 +48,10 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
+    RANGES = dict(lr="(0, inf)", beta1="[0, 1)", beta2="[0, 1)", eps="(0, inf)", step="[0, inf)")
+
     def __post_init__(self):
-        check_fields(self, dict(step=0))
-        _check_finite_positive(self, "lr", "eps")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        check_fields(self, self.RANGES)
 
     @classmethod
     def for_params(cls, named_params, lr):
@@ -103,9 +93,10 @@ class TrainConfig:
     lr: float = 5e-5
     seed: int = 42
 
+    RANGES = dict(epochs="[0, inf)", batch_size="[1, inf)", lr="(0, inf)", seed="[0, inf)")
+
     def __post_init__(self):
-        check_fields(self, dict(batch_size=1, epochs=0, seed=0))
-        _check_finite_positive(self, "lr")
+        check_fields(self, self.RANGES)
 
 
 def batch_gradients(model, batch, cats):
@@ -298,27 +289,18 @@ def load_checkpoint(path, vocab, cats):
         config = ModelConfig(**model_cfg)
     except (TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f'{path}: bad "model" block: {exc}') from exc
-    if config.num_categories != len(cats):
-        raise ConfigMismatchError(
-            f"checkpoint built for {config.num_categories} categories, "
-            f"category set has {len(cats)}"
-        )
-    if config.vocab_size != len(vocab):
-        raise ConfigMismatchError(
-            f"checkpoint built for vocab size {config.vocab_size}, vocab file has {len(vocab)}"
-        )
-    vocab_sha = _header_value(path, header, "vocab_sha256")
-    if vocab_sha != vocab.fingerprint():
-        raise ConfigMismatchError(
-            f"vocabulary fingerprint mismatch: checkpoint {vocab_sha!s:.12}..., "
-            f"loaded vocab {vocab.fingerprint()[:12]}..."
-        )
-    cats_sha = _header_value(path, header, "categories_sha256")
-    if cats_sha != cats.fingerprint():
-        raise ConfigMismatchError(
-            f"category-set fingerprint mismatch: checkpoint "
-            f"{cats_sha!s:.12}..., loaded set {cats.fingerprint()[:12]}..."
-        )
+    # the sizes before the fingerprints, which a size mismatch fails as well
+    for what, stored, loaded in [
+        ("category count", config.num_categories, len(cats)),
+        ("vocab size", config.vocab_size, len(vocab)),
+        ("vocab fingerprint", _header_value(path, header, "vocab_sha256"), vocab.fingerprint()),
+        ("category-set fingerprint", _header_value(path, header, "categories_sha256"),
+         cats.fingerprint()),
+    ]:
+        if stored != loaded:
+            raise ConfigMismatchError(
+                f"checkpoint built for {what} {stored!s:.12}, the loaded files give {loaded!s:.12}"
+            )
 
     # built only once the vocab and category counts match the files, and
     # with no weights drawn: the payloads fill every value

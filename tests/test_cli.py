@@ -270,7 +270,7 @@ class TestParser:
             return lambda sub: calls.append(name) or build(sub)
 
         monkeypatch.setattr(
-            cli, "_SUBPARSERS", {n: recorded(n, b) for n, b in cli._SUBPARSERS.items()}
+            cli, "_COMMANDS", {n: (recorded(n, b), run) for n, (b, run) in cli._COMMANDS.items()}
         )
         parse_outcome(main, argv, capsys)
         assert calls == built
@@ -295,7 +295,8 @@ MALFORMED_FLAGS = [
     ("gen", ["--multi-label-fraction", "2"], "multi_label_fraction"),
     ("gen", ["--tail-exponent", "nan"], "tail_exponent"),
     ("gen", ["--queries-per-category", "0"], "queries_per_category"),
-    ("gen", ["--vocab-size", "35365"], "at most 35364"),  # the pool would reach U+D800
+    # the pool would reach U+D800
+    ("gen", ["--vocab-size", "35365"], "vocab_size must be in [4, 35364], got 35365"),
     ("gen", ["--tail-exponent=-400"], "tail_exponent"),  # one weight overflows
     # only the weights' sum overflows
     ("gen", ["--categories", "10000", "--vocab-size", "20000", "--queries-per-category", "1",
@@ -444,7 +445,7 @@ class TestExitCodes:
         def out_of_memory(args):
             raise MemoryError(message)
 
-        monkeypatch.setitem(cli._HANDLERS, "train", out_of_memory)
+        monkeypatch.setitem(cli._COMMANDS, "train", (cli._COMMANDS["train"][0], out_of_memory))
         rc, err = self.run(capsys, train_argv(tiny_data, tmp_path))
         assert rc == 2 and err == f"error: {message or 'MemoryError'}\n"
         assert not (tmp_path / "m.ckpt").exists()
@@ -777,6 +778,33 @@ class TestEval:
         assert "run_config" in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
         assert not (tmp_path / "records.tsv").exists()
+
+    @pytest.mark.parametrize("dropped", [["lr", "epochs"], None], ids=["two-fields", "no-extra"])
+    def test_ablation_with_a_run_config_field_missing_exits_3(self, tmp_path, capsys, dropped):
+        """No `TrainConfig` default stands in for a stored setting; `epochs` is the first field.
+
+        `None` saves the checkpoint as a library caller does, with no `extra` at all.
+        """
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data)
+        vocab = load_vocab(data / "vocab.txt")
+        cats = load_categories(data / "categories.tsv", vocab)
+        loaded = load_checkpoint(ckpt, vocab, cats)
+        extra = None
+        if dropped is not None:
+            run_config = {k: v for k, v in loaded.extra["run_config"].items() if k not in dropped}
+            extra = {"run_config": run_config}
+        save_checkpoint(ckpt, loaded.model, vocab, cats, extra=extra)
+        capsys.readouterr()
+        table = tmp_path / "ablation.txt"
+        rc, report, records = self.run_eval(
+            tmp_path, data, ckpt,
+            extra=["--train-file", str(data / "train.tsv"), "--ablation-out", str(table)],
+        )
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == f"error: {ckpt}: run_config has no 'epochs' field\n"
+        assert not report.exists() and not records.exists() and not table.exists()
 
     @pytest.mark.parametrize(
         "key, value", [("epochs", 2.9), ("lr", "0.002"), ("seed", True)], ids=str

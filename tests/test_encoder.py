@@ -65,7 +65,7 @@ class TestConfig:
         assert p.layers[0].ffn_w1.shape == (16, 64)
 
     def test_vocab_needs_pad_and_unk(self):
-        with pytest.raises(ConfigError, match="PAD and UNK"):
+        with pytest.raises(ConfigError, match=r"vocab_size must be in \[2, inf\), got 1"):
             ModelConfig(vocab_size=1, num_categories=1)
 
     def test_position_table_covers_the_longer_text(self):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -666,10 +667,10 @@ class TestCheckFields:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"conv_stride": (1, 0)}, "conv_stride must be at least 1"),
+            ({"conv_stride": (1, 0)}, r"conv_stride must be in \[1, inf\), got \(1, 0\)"),
             ({"pool_window": (2, 2, 2)}, r"pool_window is \(2, 2, 2\), expected tuple\["),
             ({"conv_window": "33"}, "conv_window is '33'"),
-            ({"num_categories": 0}, "num_categories must be at least 1"),
+            ({"num_categories": 0}, r"num_categories must be in \[1, inf\), got 0"),
         ],
     )
     def test_model_pairs_and_minimums(self, overrides, message):
@@ -677,8 +678,102 @@ class TestCheckFields:
             ModelConfig(vocab_size=8, **{"num_categories": 2, **overrides})
 
     def test_synthetic_needs_two_categories(self):
-        with pytest.raises(ConfigError, match="num_categories must be at least 2"):
+        with pytest.raises(ConfigError, match=r"num_categories must be in \[2, inf\), got 1"):
             SyntheticConfig(num_categories=1)
+
+
+# every config class that declares the ranges of its fields
+RANGED_CONFIGS = [ModelConfig, TrainConfig, SyntheticConfig, AdamState]
+
+
+def interval_ends(interval):
+    """[(end, closed, outward direction)] of "[1, inf)"-style text, finite ends only."""
+    low, high = (float(x) for x in interval[1:-1].split(", "))
+    ends = [(low, interval[0] == "[", -1), (high, interval[-1] == "]", +1)]
+    return [end for end in ends if math.isfinite(end[0])]
+
+
+def field_value(cls, name, x):
+    """`x` as a value of the field: an int, a pair of it, or a float."""
+    annotation = {f.name: f.type for f in dataclasses.fields(cls)}[name]
+    return {"int": int(x), "tuple[int, int]": (int(x), int(x))}.get(annotation, x)
+
+
+def step(cls, name, x, direction):
+    """The next value of the field's kind past `x` in `direction`."""
+    if isinstance(field_value(cls, name, x), float):
+        return math.nextafter(x, direction * math.inf)
+    return x + direction
+
+
+def lowest_config(cls, **overrides):
+    """`cls` with every ranged field at its lowest accepted value, then `overrides`."""
+    values = {}
+    for name, interval in cls.RANGES.items():
+        low, closed, _ = interval_ends(interval)[0]
+        values[name] = field_value(cls, name, low if closed else step(cls, name, low, +1))
+    return cls(**{**values, **overrides})
+
+
+def range_ends():
+    for cls in RANGED_CONFIGS:
+        for name, interval in cls.RANGES.items():
+            for end, closed, direction in interval_ends(interval):
+                side = "low" if direction < 0 else "high"
+                yield pytest.param(cls, name, interval, end, closed, direction,
+                                   id=f"{cls.__name__}.{name}={interval}-{side}")
+
+
+def float_fields():
+    for cls in RANGED_CONFIGS:
+        for f in dataclasses.fields(cls):
+            if f.type == "float":
+                for value in (math.nan, math.inf, -math.inf):
+                    yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value}")
+
+
+class TestRanges:
+    """Built from each config's `RANGES`, so a range added later is covered here."""
+
+    def test_every_ranged_field_at_its_lowest_value_builds(self):
+        for cls in RANGED_CONFIGS:
+            lowest_config(cls)
+
+    @pytest.mark.parametrize("cls, name, interval, end, closed, direction", range_ends())
+    def test_end_accepted_if_closed_and_first_value_past_it_refused(
+        self, cls, name, interval, end, closed, direction
+    ):
+        if closed:
+            value = field_value(cls, name, end)
+            assert getattr(lowest_config(cls, **{name: value}), name) == value
+            past = field_value(cls, name, step(cls, name, end, direction))
+        else:
+            past = field_value(cls, name, end)
+        message = f"{name} must be in {interval}, got {past}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            lowest_config(cls, **{name: past})
+
+    @pytest.mark.parametrize("cls, name, value", float_fields())
+    def test_non_finite_float_is_refused(self, cls, name, value):
+        with pytest.raises(ConfigError, match=f"{name} is {value!r}, expected finite float"):
+            lowest_config(cls, **{name: value})
+
+    def test_unknown_variant_is_config_error(self):
+        with pytest.raises(ConfigError, match="variant is 'bogus', expected one of"):
+            ModelConfig(vocab_size=8, num_categories=2, variant="bogus")
+
+    def test_unknown_variant_in_a_header_exits_3(self, trained_files, tmp_path, capsys):
+        path = retyped_copy(trained_files, tmp_path, "model", "variant", lambda v: "bogus")
+        root, _ = trained_files
+        rc = main([
+            "predict", "--checkpoint", str(path), "--query", "abc",
+            "--categories-file", str(root / "categories.tsv"),
+            "--vocab-file", str(root / "vocab.txt"),
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == (f'error: {path}: bad "model" block: '
+                       f"variant is 'bogus', expected one of {VARIANTS}\n")
 
 
 def one_step_checkpoint(path, lr=1e-3, **model_fields):
