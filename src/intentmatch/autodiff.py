@@ -433,27 +433,62 @@ def layer_norm(x, gamma, beta, eps):
 # encoder blocks
 
 
+def _key_width(key_mask):
+    """Keys `attention` scores: through the last column any row of the [B, L] `key_mask`
+    attends to, rounded up to a multiple of 8; all L when such a cut would not be bit-exact.
+
+    numpy sums a contiguous row pairwise: a row of over 128 values splits in
+    two at a multiple of 8, and a row of at most 128 runs 8 accumulators.
+    A width of whole blocks of 8 inside the first such leaf of the L-wide
+    row drops only blocks of exact zeros there, and zero-only leaves.
+    """
+    length = key_mask.shape[1]
+    attended = np.flatnonzero(key_mask.any(axis=0))
+    width = -(-(attended[-1] + 1) // 8) * 8 if attended.size else length
+    leaf = length
+    while leaf > 128:
+        leaf = leaf // 2 - leaf // 2 % 8
+    return width if width <= leaf else length
+
+
 def attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
     """Masked multi-head self-attention over x [B, L, d]: merged @ w_o, no residual.
 
     Each of the `heads` heads takes a softmax of q kᵀ/√dh over the keys, a
-    False position of the [B, L] `key_mask` getting exactly zero weight.
+    False position of the bool [B, L] `key_mask` getting exactly zero weight.
     Logits depend bit for bit on the forward's order of numpy operations,
     and gradients on backward repeating the composed ops' backward order.
     Holds q, k, v, attn and the merged heads, not the scores.
+
+    Only the first `_key_width(key_mask)` keys are scored, mixed and held:
+    attn is [B, H, L, width], and backward gives the keys past it exactly
+    zero gradient.  The projections stay full length, so each weight
+    gradient still sums over all B·L rows.  The keys dropped carry exactly
+    zero weight, and the width, a multiple of 8, leaves numpy's pairwise
+    softmax sums as they are over all L keys, so output and gradients keep
+    the bits of the uncut op.  A cut at the last attended key itself (4 of
+    32 for a 4-token text) moves them by up to ~2e-15.
     """
     xd = x.data
     batch, length, d = xd.shape
+    key_mask = np.asarray(key_mask)
+    if key_mask.dtype != bool or key_mask.shape != (batch, length):
+        raise DimensionError(
+            f"attention expects a bool key_mask of shape {(batch, length)}, "
+            f"got {key_mask.dtype} {key_mask.shape}"
+        )
     dh = d // heads
+    width = _key_width(key_mask)
 
     def split(proj):  # [B, L, d] -> [B, H, L, dh] view
         return proj.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3)
 
     q, k, v = (split(xd @ w.data) for w in (w_q, w_k, w_v))
+    k, v = k[:, :, :width], v[:, :, :width]
     scale = 1.0 / math.sqrt(dh)
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= scale
-    attn = _masked_softmax(scores, -1, key_mask[:, None, None, :])
+    attn = _masked_softmax(scores, -1, key_mask[:, None, None, :width])
     merged = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, length, d)
     out = Tensor(merged @ w_o.data)
 
@@ -463,9 +498,13 @@ def attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
         g_heads = split(g @ w_o.data.T)  # dLoss/d(attn @ v)
         d_scores = _softmax_grad(attn, g_heads @ np.swapaxes(v, -1, -2), -1)
         d_scores *= scale
-        g_v = (np.swapaxes(attn, -1, -2) @ g_heads).transpose(0, 2, 1, 3)
+        g_v = np.swapaxes(attn, -1, -2) @ g_heads  # [B, H, width, dh]
         # (qᵀ dS)ᵀ, not dSᵀ q: the composed matmul's order, to the last bit
-        g_k = (np.swapaxes(q, -1, -2) @ d_scores).transpose(0, 3, 1, 2)
+        g_k = np.swapaxes(q, -1, -2) @ d_scores  # [B, H, dh, width]
+        if width < length:  # the keys past the cut, in the layouts of the uncut path
+            g_v = np.pad(g_v, ((0, 0), (0, 0), (0, length - width), (0, 0)))
+            g_k = np.pad(g_k, ((0, 0), (0, 0), (0, 0), (0, length - width)))
+        g_v, g_k = g_v.transpose(0, 2, 1, 3), g_k.transpose(0, 3, 1, 2)
         g_q = (d_scores @ k).transpose(0, 2, 1, 3)
         for w, g_proj in ((w_v, g_v), (w_k, g_k), (w_q, g_q)):  # the composed order
             g_proj = g_proj.reshape(batch, length, d)

@@ -41,14 +41,17 @@ def _bounds(interval):
 
 
 def check_range(name, value, interval):
-    """Raise ConfigError unless `value`, or each element of a pair, lies in `interval`.
+    """Raise ConfigError unless `value`, or each element of a pair, is a real number in `interval`.
 
-    `interval` is written "[1, inf)", "(0, 1]" and so on; NaN lies in none.
+    `interval` is written "[1, inf)", "(0, 1]" and so on; NaN lies in none,
+    and a bool, a string or None is no number.
     """
     low, high, low_open, high_open = _bounds(interval)
     for v in value if isinstance(value, tuple) else (value,):
-        if not ((low < v if low_open else low <= v) and (v < high if high_open else v <= high)):
-            raise ConfigError(f"{name} must be in {interval}, got {value}")
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+            (low < v if low_open else low <= v) and (v < high if high_open else v <= high)
+        ):
+            raise ConfigError(f"{name} must be in {interval}, got {value!r}")
 
 
 def check_fields(config, ranges):

@@ -109,6 +109,7 @@ def evaluate(model, data, cats, threshold=DEFAULT_THRESHOLD):
     Queries run in batches of EVAL_CHUNK, so memory stays bounded however
     large the dataset is.
     """
+    check_threshold(threshold)
     cat_enc = model.encode_categories(cats)
     preds, golds = [], []
     for start in range(0, len(data), EVAL_CHUNK):

@@ -381,6 +381,40 @@ def assert_same_run(got, want):
             np.testing.assert_array_equal(g, ref)
 
 
+def mask_rows(rows, length):
+    """[len(rows), length] key mask: an int row is a prefix of that length, a set its True columns."""
+    mask = np.zeros((len(rows), length), dtype=bool)
+    for r, row in zip(mask, rows):
+        r[sorted(row) if isinstance(row, set) else slice(row)] = True
+    return mask
+
+
+def attention_runs(mask, heads, subset=()):
+    """`run_with_residual` of `ad.attention` and of `composed_attention` on the
+    same d=32 inputs under the [B, L] `mask`, no gradient for the inputs in `subset`."""
+    batch, length = mask.shape
+    runs = []
+    for op in (ad.attention, composed_attention):
+        tensors, _ = attention_inputs([length] * batch, length, 32)
+        for i in subset:
+            tensors[i].requires_grad = False
+        w = np.random.default_rng(1).normal(size=tensors[0].shape)
+        runs.append(run_with_residual(lambda *t: op(*t, mask, heads), tensors, w))
+    return runs
+
+
+# key masks over 32 positions that engage `attention`'s key cut: three rows,
+# of which a batch of one takes the first, and the key width at B=1 and B=3
+_CUT_CASES = {
+    "all_rows_le_4": ([4, 1, 3], (8, 8)),
+    "longest_row_9": ([9, 2, 5], (16, 16)),
+    "row_of_exactly_8": ([8, 3, 8], (8, 8)),
+    "full_row": ([32, 4, 1], (32, 32)),
+    "only_late_column_20": ([{0, 1, 2, 20}, 3, 1], (24, 24)),
+    "all_false_row": ([0, 4, 6], (32, 8)),
+}
+
+
 # positions of the op's tensor inputs that take no gradient: none, then partial sets
 _GRAD_SUBSETS = {
     "all": set(),
@@ -402,14 +436,37 @@ class TestFusedEncoderOps:
     def test_attention_matches_composed(self, lengths, heads, subset):
         """Run at the encoder's d=32 and length 16: at d=4 a key gradient summed in
         another order (dSᵀ q) still gives the same bits, so it would pass there."""
-        runs = []
-        for op in (ad.attention, composed_attention):
-            tensors, mask = attention_inputs(lengths, 16, 32)
-            for i in subset:
-                tensors[i].requires_grad = False
-            w = np.random.default_rng(1).normal(size=tensors[0].shape)
-            runs.append(run_with_residual(lambda *t: op(*t, mask, heads), tensors, w))
-        assert_same_run(*runs)
+        assert_same_run(*attention_runs(mask_rows(lengths, 16), heads, subset))
+
+    @pytest.mark.parametrize("subset", _GRAD_SUBSETS.values(), ids=list(_GRAD_SUBSETS))
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("rows, widths", _CUT_CASES.values(), ids=list(_CUT_CASES))
+    def test_key_cut_matches_composed(self, rows, widths, batch, subset):
+        """At d=32 and the category length 32, a cut to the keys any row attends
+        to, rounded up to 8, gives the bits of the uncut composition."""
+        mask = mask_rows(rows[:batch], 32)
+        assert ad._key_width(mask) == widths[batch == 3]
+        assert_same_run(*attention_runs(mask, 4, subset))
+
+    @pytest.mark.parametrize(
+        "length, lengths, width", [(160, [20], 24), (256, [3, 60], 64), (200, [5, 17, 100], 200)]
+    )
+    def test_key_cut_past_numpy_pairwise_block(self, length, lengths, width):
+        """Past 128 keys numpy's pairwise sum splits a row: the cut stays inside
+        its first leaf (96 of 200 here) or is not taken."""
+        mask = mask_rows(lengths, length)
+        assert ad._key_width(mask) == width
+        assert_same_run(*attention_runs(mask, 4))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [np.ones(16, bool), np.ones((2, 16), bool), np.ones((1, 17), bool), np.ones((1, 16))],
+        ids=["L", "2xL", "1x(L+1)", "float"],
+    )
+    def test_key_mask_must_be_bool_batch_by_length(self, mask):
+        tensors, _ = attention_inputs((16,), 16, 8)
+        with pytest.raises(ad.DimensionError, match=r"bool key_mask of shape \(1, 16\)"):
+            ad.attention(*tensors, mask, 2)
 
     @pytest.mark.parametrize("subset", _GRAD_SUBSETS.values(), ids=list(_GRAD_SUBSETS))
     @pytest.mark.parametrize("batch", [1, 3])

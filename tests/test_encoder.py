@@ -55,6 +55,30 @@ def encode_one(s, p):
     return ad.reshape(out, out.shape[1:])
 
 
+class TestKeyCut:
+    def test_short_texts_softmax_only_the_keys_they_attend_to(self, monkeypatch):
+        """8 category texts of 4 tokens at l_c = 32 score 8 keys in every layer;
+        queries of up to 10 tokens at l_q = 16 take all 16."""
+        widths = []
+        softmax = ad._masked_softmax
+
+        def spy(z, axis, mask):
+            widths.append(z.shape[axis])
+            return softmax(z, axis, mask)
+
+        monkeypatch.setattr(ad, "_masked_softmax", spy)
+        config = ModelConfig(vocab_size=12, num_categories=8, d=32)
+        params = EncoderParams(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        texts = [rng.integers(2, 12, size=4) for _ in range(8)]
+        encode(*pad_batch(texts, config.l_c), params)
+        assert widths == [8] * config.encoder_layers
+        widths.clear()
+        queries = [rng.integers(2, 12, size=n) for n in (4, 10, 7)]
+        encode(*pad_batch(queries, config.l_q), params)
+        assert widths == [16] * config.encoder_layers
+
+
 class TestConfig:
     def test_heads_must_divide_d(self):
         with pytest.raises(ConfigError, match="encoder_heads"):

@@ -57,6 +57,15 @@ class TestDecide:
         with pytest.raises(ConfigError):
             decide(np.zeros(2), 1.0)
 
+    @pytest.mark.parametrize("threshold", ["0.5", None, True, np.bool_(True), [0.5]])
+    def test_threshold_that_is_no_number_is_named(self, threshold):
+        message = f"threshold must be in (0, 1), got {threshold!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            decide(np.zeros(3), threshold)
+
+    def test_numpy_float_threshold_is_a_number(self):
+        assert decide(np.zeros(3), np.float64(0.5)).tolist() == [1.0, 1.0, 1.0]
+
 
 class TestComputeMetrics:
     def test_perfect_predictions(self):
@@ -207,6 +216,17 @@ class TestEvaluate:
         data, config = tiny_world()
         with pytest.raises(ConfigError, match="no examples"):
             evaluate(Model(config, np.random.default_rng(0)), [], data.categories)
+
+    @pytest.mark.parametrize("threshold", ["0.5", None, True, 1.0])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_bad_threshold_refused_before_any_forward(self, threshold, empty, monkeypatch):
+        """Even with no data, whose loop never reaches `decide`."""
+        data, config = tiny_world()
+        model = Model(config, np.random.default_rng(0))
+        monkeypatch.setattr(model, "encode_categories", lambda cats: pytest.fail("encoded"))
+        message = f"threshold must be in (0, 1), got {threshold!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            evaluate(model, [] if empty else data.test, data.categories, threshold)
 
 
     def test_chunked_batches_match_per_query_decisions(self):

@@ -1,5 +1,7 @@
 """Text pipeline tests: tokenization, label filtering, files, generator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,13 @@ class TestCdfFilter:
             filter_labels_by_cdf({"a": 1}, 0.0)
         with pytest.raises(ConfigError):
             filter_labels_by_cdf({"a": 1}, 1.5)
+
+    @pytest.mark.parametrize("threshold", [True, np.bool_(True), "1", None])
+    def test_threshold_that_is_no_number_is_named(self, threshold):
+        """A bool is no number, as for a config field: True is not read as 1.0."""
+        message = f"threshold must be in (0, 1], got {threshold!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            filter_labels_by_cdf({1: 5, 2: 3}, threshold)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError):

@@ -23,6 +23,7 @@ from intentmatch.errors import (
     CorruptCheckpointError,
     NonFiniteError,
     VersionMismatchError,
+    check_range,
 )
 from intentmatch import model as model_module, training
 from intentmatch.model import VARIANTS, Model, ModelConfig, multilabel_loss
@@ -757,6 +758,11 @@ class TestRanges:
     def test_non_finite_float_is_refused(self, cls, name, value):
         with pytest.raises(ConfigError, match=f"{name} is {value!r}, expected finite float"):
             lowest_config(cls, **{name: value})
+
+    @pytest.mark.parametrize("value", [True, (1, True), (1, "2"), None, np.bool_(False)])
+    def test_check_range_takes_only_real_numbers(self, value):
+        with pytest.raises(ConfigError, match=re.escape(f"x must be in [0, inf), got {value!r}")):
+            check_range("x", value, "[0, inf)")
 
     def test_unknown_variant_is_config_error(self):
         with pytest.raises(ConfigError, match="variant is 'bogus', expected one of"):
