@@ -98,14 +98,24 @@ class Tensor:
         return matmul(self, other)
 
 
-def parameter(rng, shape, fan_in):
-    """Trainable tensor, uniform in [-sqrt(1/fan_in), +sqrt(1/fan_in)].
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False
 
-    With `rng` None nothing is drawn: the array is uninitialised, for a
-    caller that fills every value itself, as a checkpoint load does.
+
+def parameter(rng, shape, fan_in=None, fill=0.0):
+    """Trainable tensor of the tuple `shape`, uniform in [-sqrt(1/fan_in), +sqrt(1/fan_in)];
+    all `fill` without `fan_in`.
+
+    With `rng` None nothing is drawn or allocated: the array is a read-only,
+    zero-stride view of one shared 0.0, for a caller that assigns every
+    tensor its own array, as a checkpoint load does.  The `np.ndarray`
+    constructor makes that view in a third of `np.broadcast_to`'s time.
     """
     if rng is None:
-        return Tensor(np.empty(shape), requires_grad=True)
+        placeholder = np.ndarray(shape, buffer=_ZERO, strides=(0,) * len(shape))
+        return Tensor(placeholder, requires_grad=True)
+    if fan_in is None:
+        return Tensor(np.full(shape, fill), requires_grad=True)
     bound = float(np.sqrt(1.0 / fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
@@ -358,28 +368,30 @@ def sigmoid_cross_entropy(z, y):
     return _record(out, (z,), bw)
 
 
-def softmax(a, axis, mask=None):
-    """Max-stabilized softmax along `axis`.
+def length_mask(lengths, length):
+    """Boolean [..., length] mask: True at the first `lengths` positions of each row."""
+    return np.arange(length) < np.asarray(lengths)[..., None]
 
-    `mask` is a boolean array broadcastable to the input (None: all True);
-    False positions are excluded from the normalization and produce
-    exactly 0.  A fully masked slice yields all zeros rather than NaN.
+
+def softmax(a, lengths):
+    """Max-stabilized softmax over the first `lengths` entries of each last-axis row.
+
+    `lengths` broadcasts against a.shape[:-1].  The entries past a row's
+    length are excluded from the normalization and come out exactly 0; a
+    row of length 0 is all zeros rather than NaN.
     """
-    if axis >= a.ndim:
-        raise DimensionError(f"softmax axis {axis} out of range for shape {a.shape}")
-    out = Tensor(_masked_softmax(a.data, axis, True if mask is None else mask))
+    out = Tensor(_masked_softmax(a.data, length_mask(lengths, a.shape[-1])))
 
     def bw(g):
-        _accumulate(a, _softmax_grad(out.data, g, axis))
+        _accumulate(a, _softmax_grad(out.data, g))
 
     return _record(out, (a,), bw)
 
 
-def _masked_softmax(z, axis, mask):
+def _masked_softmax(z, mask):
     """`softmax`'s forward on arrays, in one full-size buffer; `z` is left as it is."""
-    mask = np.asarray(mask, dtype=bool)
     e = np.where(np.broadcast_to(mask, z.shape), z, -np.inf)
-    mx = e.max(axis=axis, keepdims=True)
+    mx = e.max(axis=-1, keepdims=True)
     mx[~np.isfinite(mx)] = 0.0
     # exp of the raw scores, not of -inf fills, on which numpy's exp runs
     # about 3x slower; a masked score may exceed mx and overflow to inf,
@@ -388,15 +400,15 @@ def _masked_softmax(z, axis, mask):
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
     np.copyto(e, 0.0, where=~mask)
-    s = e.sum(axis=axis, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     s[s == 0.0] = 1.0
     e /= s
     return e
 
 
-def _softmax_grad(y, g, axis):
-    """dLoss/dInput of a softmax with output `y`, given dLoss/dOutput `g`."""
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+def _softmax_grad(y, g):
+    """dLoss/dInput of a last-axis softmax with output `y`, given dLoss/dOutput `g`."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -433,52 +445,45 @@ def layer_norm(x, gamma, beta, eps):
 # encoder blocks
 
 
-def _key_width(key_mask):
-    """Keys `attention` scores: through the last column any row of the [B, L] `key_mask`
-    attends to, rounded up to a multiple of 8; all L when such a cut would not be bit-exact.
+def _key_width(longest, length):
+    """Keys `attention` scores of `length` when its longest row holds `longest`: that many
+    rounded up to a multiple of 8, or all `length` for a `longest` of 0 or a cut not bit-exact.
 
     numpy sums a contiguous row pairwise: a row of over 128 values splits in
     two at a multiple of 8, and a row of at most 128 runs 8 accumulators.
     A width of whole blocks of 8 inside the first such leaf of the L-wide
     row drops only blocks of exact zeros there, and zero-only leaves.
     """
-    length = key_mask.shape[1]
-    attended = np.flatnonzero(key_mask.any(axis=0))
-    width = -(-(attended[-1] + 1) // 8) * 8 if attended.size else length
+    width = -(-longest // 8) * 8 or length
     leaf = length
     while leaf > 128:
         leaf = leaf // 2 - leaf // 2 % 8
     return width if width <= leaf else length
 
 
-def attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
+def attention(x, w_q, w_k, w_v, w_o, lengths, heads):
     """Masked multi-head self-attention over x [B, L, d]: merged @ w_o, no residual.
 
-    Each of the `heads` heads takes a softmax of q kᵀ/√dh over the keys, a
-    False position of the bool [B, L] `key_mask` getting exactly zero weight.
+    Each of the `heads` heads takes a softmax of q kᵀ/√dh over the first
+    `lengths[i]` keys of row i, the keys past it getting exactly zero weight.
     Logits depend bit for bit on the forward's order of numpy operations,
     and gradients on backward repeating the composed ops' backward order.
     Holds q, k, v, attn and the merged heads, not the scores.
 
-    Only the first `_key_width(key_mask)` keys are scored, mixed and held:
-    attn is [B, H, L, width], and backward gives the keys past it exactly
-    zero gradient.  The projections stay full length, so each weight
-    gradient still sums over all B·L rows.  The keys dropped carry exactly
-    zero weight, and the width, a multiple of 8, leaves numpy's pairwise
-    softmax sums as they are over all L keys, so output and gradients keep
-    the bits of the uncut op.  A cut at the last attended key itself (4 of
-    32 for a 4-token text) moves them by up to ~2e-15.
+    Only the first `_key_width` keys, the longest length rounded up to 8,
+    are scored, mixed and held: attn is [B, H, L, width], and backward gives
+    the keys past it exactly zero gradient.  The projections stay full
+    length, so each weight gradient still sums over all B·L rows.  The keys
+    dropped carry exactly zero weight, and the width, a multiple of 8,
+    leaves numpy's pairwise softmax sums as they are over all L keys, so
+    output and gradients keep the bits of the uncut op.  A cut at the
+    longest length itself (4 of 32 for a 4-token text) moves them by up to
+    ~2e-15.
     """
     xd = x.data
     batch, length, d = xd.shape
-    key_mask = np.asarray(key_mask)
-    if key_mask.dtype != bool or key_mask.shape != (batch, length):
-        raise DimensionError(
-            f"attention expects a bool key_mask of shape {(batch, length)}, "
-            f"got {key_mask.dtype} {key_mask.shape}"
-        )
     dh = d // heads
-    width = _key_width(key_mask)
+    width = _key_width(int(np.max(lengths)), length)
 
     def split(proj):  # [B, L, d] -> [B, H, L, dh] view
         return proj.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3)
@@ -488,7 +493,7 @@ def attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
     scale = 1.0 / math.sqrt(dh)
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= scale
-    attn = _masked_softmax(scores, -1, key_mask[:, None, None, :width])
+    attn = _masked_softmax(scores, length_mask(lengths, width)[:, None, None])
     merged = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, length, d)
     out = Tensor(merged @ w_o.data)
 
@@ -496,7 +501,7 @@ def attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
         if w_o.requires_grad:
             _accumulate(w_o, merged.reshape(-1, d).T @ g.reshape(-1, d))
         g_heads = split(g @ w_o.data.T)  # dLoss/d(attn @ v)
-        d_scores = _softmax_grad(attn, g_heads @ np.swapaxes(v, -1, -2), -1)
+        d_scores = _softmax_grad(attn, g_heads @ np.swapaxes(v, -1, -2))
         d_scores *= scale
         g_v = np.swapaxes(attn, -1, -2) @ g_heads  # [B, H, width, dh]
         # (qᵀ dS)ᵀ, not dSᵀ q: the composed matmul's order, to the last bit

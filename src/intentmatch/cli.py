@@ -45,6 +45,7 @@ from .errors import (
 from .evaluation import (
     DEFAULT_THRESHOLD,
     check_threshold,
+    decide,
     evaluate,
     probabilities,
     render_ablation_table,
@@ -263,7 +264,7 @@ def cmd_predict(args):
     model = loaded.model
     logits = model.forward(tokenize(args.query, vocab), model.encode_categories(cats))
     probs = probabilities(logits)
-    chosen = probs >= args.threshold
+    chosen = decide(logits, args.threshold)
     order = np.argsort(-probs, kind="stable")
     print(f"# query: {args.query!r}  threshold: {args.threshold:g}")
     run_cfg = loaded.extra.get("run_config", {})

@@ -27,14 +27,14 @@ class EncoderLayer(ad.Params):
         self.w_k = self.add("w_k", ad.parameter(rng, (d, d), d))
         self.w_v = self.add("w_v", ad.parameter(rng, (d, d), d))
         self.w_o = self.add("w_o", ad.parameter(rng, (d, d), d))
-        self.ln1_g = self.add("ln1_g", ad.Tensor(np.ones(d), requires_grad=True))
-        self.ln1_b = self.add("ln1_b", ad.Tensor(np.zeros(d), requires_grad=True))
+        self.ln1_g = self.add("ln1_g", ad.parameter(rng, (d,), fill=1.0))
+        self.ln1_b = self.add("ln1_b", ad.parameter(rng, (d,)))
         self.ffn_w1 = self.add("ffn_w1", ad.parameter(rng, (d, ffn), d))
-        self.ffn_b1 = self.add("ffn_b1", ad.Tensor(np.zeros(ffn), requires_grad=True))
+        self.ffn_b1 = self.add("ffn_b1", ad.parameter(rng, (ffn,)))
         self.ffn_w2 = self.add("ffn_w2", ad.parameter(rng, (ffn, d), ffn))
-        self.ffn_b2 = self.add("ffn_b2", ad.Tensor(np.zeros(d), requires_grad=True))
-        self.ln2_g = self.add("ln2_g", ad.Tensor(np.ones(d), requires_grad=True))
-        self.ln2_b = self.add("ln2_b", ad.Tensor(np.zeros(d), requires_grad=True))
+        self.ffn_b2 = self.add("ffn_b2", ad.parameter(rng, (d,)))
+        self.ln2_g = self.add("ln2_g", ad.parameter(rng, (d,), fill=1.0))
+        self.ln2_b = self.add("ln2_b", ad.parameter(rng, (d,)))
 
 
 class EncoderParams(ad.Params):
@@ -53,11 +53,6 @@ class EncoderParams(ad.Params):
         ]
 
 
-def length_mask(lengths, length):
-    """Boolean [..., length] mask: True at the first `lengths` positions of each row."""
-    return np.arange(length) < np.asarray(lengths)[..., None]
-
-
 def encode(ids, lengths, params):
     """Contextual embeddings [B, L, d] for a batch of B fixed-length id rows.
 
@@ -67,6 +62,8 @@ def encode(ids, lengths, params):
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ConfigError(f"encode expects [batch, length] ids, got shape {ids.shape}")
+    if np.shape(lengths) != ids.shape[:1]:
+        raise ConfigError(f"encode expects {ids.shape[0]} lengths, got shape {np.shape(lengths)}")
     length = ids.shape[1]
     if length > max_len:
         raise ConfigError(f"sequence length {length} exceeds max_len {max_len}")
@@ -74,10 +71,9 @@ def encode(ids, lengths, params):
         bad = ids[(ids < 0) | (ids >= vocab_size)][0]
         raise VocabError(f"token id {bad} outside vocab of size {vocab_size}")
     x = ad.embedding(params.tok_emb, ids) + ad.embedding(params.pos_emb, np.arange(length))
-    key_mask = length_mask(lengths, length)
     for layer in params.layers:
         attended = ad.attention(
-            x, layer.w_q, layer.w_k, layer.w_v, layer.w_o, key_mask, params.num_heads
+            x, layer.w_q, layer.w_k, layer.w_v, layer.w_o, lengths, params.num_heads
         )
         x = ad.layer_norm(x + attended, layer.ln1_g, layer.ln1_b, LAYERNORM_EPS)
         out = ad.feed_forward(x, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import EncoderParams, encode, length_mask
+from .encoder import EncoderParams, encode
 from .errors import ConfigError, check_fields
 from .textdata import pad_batch
 
@@ -128,8 +128,7 @@ class CharMatchParams(ad.Params):
         for i in range(config.conv_blocks):
             kernels = ad.parameter(rng, (f, in_ch, kh, kw), in_ch * kh * kw)
             self.conv_kernels.append(self.add(f"conv{i}_kernels", kernels))
-            bias = ad.Tensor(np.zeros(f), requires_grad=True)
-            self.conv_biases.append(self.add(f"conv{i}_bias", bias))
+            self.conv_biases.append(self.add(f"conv{i}_bias", ad.parameter(rng, (f,))))
             in_ch = f
         flat = flat_dim(config)
         self.projection = self.add("projection", ad.parameter(rng, (flat, d), flat))
@@ -162,7 +161,7 @@ class FusionParams(ad.Params):
         # freezes the whole network. Zero w_x means zero logits at step one;
         # the mixer organizes against the (frozen) match features first and
         # only then feeds label-correlated gradient back through the gate.
-        self.w_x = self.add("w_x", ad.Tensor(np.zeros((n, n)), requires_grad=True))
+        self.w_x = self.add("w_x", ad.parameter(rng, (n, n)))
 
 
 @dataclass
@@ -183,8 +182,7 @@ def self_match(q_enc, params, true_length):
     """
     *lead, length, d = q_enc.shape
     scores = params.v @ ad.tanh(params.w_q @ ad.transpose(q_enc))  # [..., 1, L]
-    mask = length_mask(true_length, length)[..., None, :]
-    alpha = ad.softmax(scores, axis=-1, mask=mask)
+    alpha = ad.softmax(scores, np.asarray(true_length)[..., None])
     pooled = alpha @ q_enc
     return ad.reshape(pooled, (*lead, d)), ad.reshape(alpha, (*lead, length))
 
@@ -231,11 +229,10 @@ def semantic_match(q_enc, cat_tensors, params, true_length, cat_lengths):
     """
     n, lc, _ = cat_tensors.shape
     lens = np.asarray(cat_lengths)
-    weights = length_mask(lens, lc) / lens[:, None]
+    weights = ad.length_mask(lens, lc) / lens[:, None]
     c_mat = ad.reshape(ad.Tensor(weights[:, None, :]) @ cat_tensors, (n, -1))
     scores = (c_mat @ params.w_qs) @ ad.transpose(q_enc)  # [..., N, Lq]
-    mask = length_mask(true_length, q_enc.shape[-2])[..., None, :]
-    attn = ad.softmax(scores, axis=-1, mask=mask)
+    attn = ad.softmax(scores, np.asarray(true_length)[..., None])
     return attn @ q_enc
 
 
@@ -264,9 +261,9 @@ def multilabel_loss(logits, labels):
 class Model(ad.Params):
     """Bundles every trainable tensor with the forward composition.
 
-    `rng` draws the initial weights. With `rng` None nothing is drawn: the
-    weights `ad.parameter` would draw are left uninitialised, for a caller
-    that overwrites every weight, as `load_checkpoint` does.
+    `rng` draws the initial weights. With `rng` None nothing is drawn or
+    allocated: every tensor holds `ad.parameter`'s read-only placeholder,
+    for a caller that assigns every array, as `load_checkpoint` does.
     """
 
     def __init__(self, config, rng):

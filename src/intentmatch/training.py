@@ -233,27 +233,30 @@ class _Reader:
         return out
 
     def tensors(self, targets):
-        """Fill each array of the (name, array) pairs `targets` from the next payloads, in order.
+        """One array per (name, shape) pair of `targets`, read from the next payloads in order.
 
-        Each payload is copied once, straight into its array.  The section
-        is checked for a NaN or infinity as a whole, and a failure names
-        the first tensor that holds one.
+        Each payload is copied once, into a fresh array.  The section is
+        checked for a NaN or infinity as a whole, and a failure names the
+        first tensor that holds one.
         """
         start = self.pos
-        for what, arr in targets:
+        arrays = []
+        for what, shape in targets:
             (nbytes,) = struct.unpack("<Q", self.take(8, f"{what} length"))
-            expected = math.prod(arr.shape) * 8
+            expected = math.prod(shape) * 8
             if nbytes != expected:
                 raise CorruptCheckpointError(
                     f"{self.path}: {what} payload is {nbytes} bytes, expected {expected}"
                 )
-            arr[...] = np.frombuffer(self.take(nbytes, what), dtype="<f8").reshape(arr.shape)
+            payload = np.frombuffer(self.take(nbytes, what), dtype="<f8")
+            arrays.append(payload.reshape(shape).astype(np.float64))
         # the u64 length words read as finite f64s: only words from 0x7FF0 << 48
         # (9.2e18) up do not, and each one here is the size of a payload in the file
         section = np.frombuffer(self.raw[start : self.pos], dtype="<f8")
         if not np.isfinite(section).all():
-            what = next(what for what, arr in targets if not np.isfinite(arr).all())
+            what = next(w for (w, _), a in zip(targets, arrays) if not np.isfinite(a).all())
             raise CorruptCheckpointError(f"{self.path}: {what} holds a NaN or infinite value")
+        return arrays
 
 
 def _header_value(path, block, key, where="header"):
@@ -303,10 +306,10 @@ def load_checkpoint(path, vocab, cats):
             )
 
     # built only once the vocab and category counts match the files, and
-    # with no weights drawn: the payloads fill every value
+    # with no weights drawn or allocated: the payloads give every array
     try:
         model = Model(config, None)
-    except (MemoryError, ValueError) as exc:  # ValueError: numpy's "array is too big"
+    except (MemoryError, ValueError) as exc:  # ValueError: a shape past numpy's maximum size
         raise CorruptCheckpointError(
             f'{path}: "model" block describes a model too large to allocate: {exc}'
         ) from exc
@@ -315,7 +318,8 @@ def load_checkpoint(path, vocab, cats):
         raise CorruptCheckpointError(
             f"{path}: parameter manifest does not match the stored config"
         )
-    r.tensors([(name, tensor.data) for name, tensor in named])
+    for (_, tensor), arr in zip(named, r.tensors([(name, t.shape) for name, t in named])):
+        tensor.data = arr
 
     adam_state = None
     opt = _header_value(path, header, "optimizer")
@@ -328,13 +332,9 @@ def load_checkpoint(path, vocab, cats):
             adam_state = AdamState(**values)
         except ConfigError as exc:
             raise CorruptCheckpointError(f'{path}: bad "optimizer" block: {exc}') from exc
-        moments = []
-        for name, tensor in named:
-            adam_state.m[name] = np.empty(tensor.shape)
-            adam_state.v[name] = np.empty(tensor.shape)
-            moments += [(f"adam m[{name}]", adam_state.m[name]),
-                        (f"adam v[{name}]", adam_state.v[name])]
-        r.tensors(moments)
+        moments = r.tensors([(f"adam {key}[{name}]", t.shape) for name, t in named for key in "mv"])
+        for (name, _), m, v in zip(named, moments[::2], moments[1::2]):
+            adam_state.m[name], adam_state.v[name] = m, v
     if r.pos != len(raw):
         raise CorruptCheckpointError(
             f"{path}: {len(raw) - r.pos} trailing bytes after the last tensor"

@@ -95,11 +95,11 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax(ad.Tensor([0.0, 0.0, 0.0]), axis=0)
+        out = ad.softmax(ad.Tensor([0.0, 0.0, 0.0]), 3)
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_single_element_axis(self):
-        out = ad.softmax(ad.Tensor([5.0]), axis=0)
+        out = ad.softmax(ad.Tensor([5.0]), 1)
         np.testing.assert_allclose(out.data, [1.0], atol=0)
 
     def test_against_high_precision_formula(self):
@@ -108,24 +108,23 @@ class TestSoftmax:
             es = [mpmath.exp(v - 3.0) for v in x]
             total = sum(es)
             expected = np.array([float(e / total) for e in es])
-        out = ad.softmax(ad.Tensor(x), axis=0)
+        out = ad.softmax(ad.Tensor(x), 3)
         np.testing.assert_allclose(out.data, expected, rtol=1e-14)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         x = ad.Tensor(rng.normal(size=(5, 7)) * 40.0)
-        out = ad.softmax(x, axis=1)
+        out = ad.softmax(x, 7)
         assert np.all(out.data >= 0.0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_large_inputs_do_not_overflow(self):
-        out = ad.softmax(ad.Tensor([1e4, 1e4 - 1.0]), axis=0)
+        out = ad.softmax(ad.Tensor([1e4, 1e4 - 1.0]), 2)
         assert np.all(np.isfinite(out.data))
 
     def test_mask_produces_exact_zeros(self):
         x = ad.Tensor([[1.0, 2.0, 3.0, 4.0]])
-        mask = np.array([True, True, False, False])
-        out = ad.softmax(x, axis=1, mask=mask)
+        out = ad.softmax(x, [2])
         assert out.data[0, 2] == 0.0 and out.data[0, 3] == 0.0
         np.testing.assert_allclose(out.data[0, :2].sum(), 1.0, atol=1e-12)
 
@@ -135,88 +134,61 @@ class TestSoftmax:
         w = rng.normal(size=(3, 5))  # weights break the sum-to-one degeneracy
 
         def build():
-            return weighted_sum(ad.softmax(x, axis=1), w)
+            return weighted_sum(ad.softmax(x, 5), w)
 
         check_grad_fd(build, [x])
 
     def test_masked_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(3)
         x = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-        mask = np.array([True, True, True, True, False, False])
         w = rng.normal(size=(2, 6))
 
         def build():
-            return weighted_sum(ad.softmax(x, axis=1, mask=mask), w)
+            return weighted_sum(ad.softmax(x, [4, 2]), w)
 
         check_grad_fd(build, [x])
 
 
-def softmax_exp_of_fills(z, axis, mask):
-    """The softmax formula that fills masked scores with -inf before exp."""
-    m = np.broadcast_to(mask, z.shape)
+def softmax_exp_of_fills(z, lengths):
+    """The softmax formula that fills the scores past each row's length with -inf before exp."""
+    m = np.broadcast_to(np.arange(z.shape[-1]) < np.asarray(lengths)[..., None], z.shape)
     z = np.where(m, z, -np.inf)
-    mx = np.max(z, axis=axis, keepdims=True)
+    mx = np.max(z, axis=-1, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
     e = np.exp(z - mx)
-    s = e.sum(axis=axis, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     return e / np.where(s == 0.0, 1.0, s)
 
 
-_KEY_PADDING = np.arange(8) < np.random.default_rng(31).integers(1, 9, size=6)[:, None, None, None]
-
-# (scores, mask) pairs; the masked softmax must match the -inf-fill formula
-# bit for bit on each, without a warning
+# (scores, lengths) pairs; the length-cut softmax must match the -inf-fill
+# formula bit for bit on each, without a warning
 _MASKED_SOFTMAX_CASES = {
-    "key_padding": (np.random.default_rng(32).normal(size=(6, 4, 8, 8)) * 5.0, _KEY_PADDING),
-    "fully_masked_row": (
-        np.array([[3.0, -1.0, 2.0], [800.0, 0.5, -900.0]]),
-        np.array([[True, False, True], [False, False, False]]),
+    "key_padding": (
+        np.random.default_rng(32).normal(size=(6, 4, 8, 8)) * 5.0,
+        np.random.default_rng(31).integers(1, 9, size=6)[:, None, None],
     ),
-    "non_finite_masked": (
-        np.array([[1.0, np.nan, np.inf, -np.inf, 800.0, 2.0]]),
-        np.array([[True, False, False, False, False, True]]),
-    ),
-    "masked_far_above_max": (
-        np.array([[0.0, 1e300, 1.0], [1e4, -1e4, 5e3]]),
-        np.array([[True, False, True], [False, True, True]]),
-    ),
+    "fully_masked_row": (np.array([[3.0, 2.0, -1.0], [800.0, 0.5, -900.0]]), [2, 0]),
+    "non_finite_masked": (np.array([[1.0, 2.0, np.nan, np.inf, -np.inf, 800.0]]), [2]),
+    "masked_far_above_max": (np.array([[0.0, 1.0, 1e300], [-1e4, 5e3, 1e4]]), [2, 2]),
 }
 
 
 class TestMaskedSoftmaxBitIdentity:
-    """The masked softmax exponentiates raw scores and zeroes masked ones
-    afterwards; its output is bit-identical to exponentiating -inf fills."""
+    """The softmax exponentiates raw scores and zeroes those past each row's
+    length afterwards; its output is bit-identical to exponentiating -inf fills."""
 
     @pytest.mark.parametrize(
-        "z, mask", _MASKED_SOFTMAX_CASES.values(), ids=list(_MASKED_SOFTMAX_CASES)
+        "z, lengths", _MASKED_SOFTMAX_CASES.values(), ids=list(_MASKED_SOFTMAX_CASES)
     )
-    def test_matches_exp_of_fills(self, z, mask):
-        got = ad.softmax(ad.Tensor(z), axis=-1, mask=mask).data
-        np.testing.assert_array_equal(got, softmax_exp_of_fills(z, -1, mask))
-
-    @pytest.mark.parametrize(
-        "z", [z for z, _ in _MASKED_SOFTMAX_CASES.values()], ids=list(_MASKED_SOFTMAX_CASES)
-    )
-    def test_no_mask_is_the_all_true_mask(self, z):
-        """Forward and backward, bit for bit."""
-        w = np.random.default_rng(33).normal(size=z.shape)
-        runs = []
-        for mask in (None, np.ones(z.shape, dtype=bool)):
-            x = ad.Tensor(z, requires_grad=True)
-            with np.errstate(invalid="ignore"), ad.Tape() as tape:
-                out = ad.softmax(x, axis=-1, mask=mask)
-                loss = weighted_sum(out, w)
-            with np.errstate(invalid="ignore"):
-                ad.backward(loss, tape)
-            runs.append((out.data.tobytes(), x.grad.tobytes()))
-        assert runs[0] == runs[1]
+    def test_matches_exp_of_fills(self, z, lengths):
+        got = ad.softmax(ad.Tensor(z), lengths).data
+        np.testing.assert_array_equal(got, softmax_exp_of_fills(z, lengths))
 
     def test_unmasked_non_finite_scores_match_too(self):
         z = np.array([[np.inf, 1.0, 2.0], [np.nan, 1.0, 2.0]])
-        mask = np.ones((2, 3), dtype=bool)
         with np.errstate(invalid="ignore"):
-            got = ad.softmax(ad.Tensor(z), axis=-1, mask=mask).data
-            np.testing.assert_array_equal(got, softmax_exp_of_fills(z, -1, mask))
+            got = ad.softmax(ad.Tensor(z), 3).data
+            np.testing.assert_array_equal(got, softmax_exp_of_fills(z, 3))
         assert np.isnan(got[0, 0]) and np.all(np.isnan(got[1]))
 
 
@@ -330,7 +302,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.var(axis=-1), 1.0, rtol=1e-5)
 
 
-def composed_attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
+def composed_attention(x, w_q, w_k, w_v, w_o, lengths, heads):
     """The attention block as separate engine ops: the reference `ad.attention` must match."""
     batch, length, d = x.shape
     dh = d // heads
@@ -342,7 +314,7 @@ def composed_attention(x, w_q, w_k, w_v, w_o, key_mask, heads):
     k_t = split(x @ w_k, (0, 2, 3, 1))
     v = split(x @ w_v, (0, 2, 1, 3))
     scores = scaled(q @ k_t, 1.0 / math.sqrt(dh))
-    attn = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
+    attn = ad.softmax(scores, np.asarray(lengths)[:, None, None])
     return ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (batch, length, d)) @ w_o
 
 
@@ -351,12 +323,11 @@ def composed_feed_forward(x, w1, b1, w2, b2):
     return ad.relu(x @ w1 + b1) @ w2 + b2
 
 
-def attention_inputs(lengths, length, d, seed=0):
-    """x [B, length, d], four [d, d] weights and the key mask of `lengths`, all requiring grad."""
+def attention_inputs(batch, length, d, seed=0):
+    """x [batch, length, d] and four [d, d] weights, all requiring grad."""
     rng = np.random.default_rng(seed)
-    tensors = [ad.Tensor(rng.normal(size=(len(lengths), length, d)), requires_grad=True)]
-    tensors += [ad.Tensor(rng.normal(size=(d, d)) / 2, requires_grad=True) for _ in range(4)]
-    return tensors, np.arange(length) < np.array(lengths)[:, None]
+    tensors = [ad.Tensor(rng.normal(size=(batch, length, d)), requires_grad=True)]
+    return tensors + [ad.Tensor(rng.normal(size=(d, d)) / 2, requires_grad=True) for _ in range(4)]
 
 
 def ffn_inputs(batch, seed=0):
@@ -381,36 +352,26 @@ def assert_same_run(got, want):
             np.testing.assert_array_equal(g, ref)
 
 
-def mask_rows(rows, length):
-    """[len(rows), length] key mask: an int row is a prefix of that length, a set its True columns."""
-    mask = np.zeros((len(rows), length), dtype=bool)
-    for r, row in zip(mask, rows):
-        r[sorted(row) if isinstance(row, set) else slice(row)] = True
-    return mask
-
-
-def attention_runs(mask, heads, subset=()):
+def attention_runs(lengths, length, heads, subset=()):
     """`run_with_residual` of `ad.attention` and of `composed_attention` on the
-    same d=32 inputs under the [B, L] `mask`, no gradient for the inputs in `subset`."""
-    batch, length = mask.shape
+    same d=32 inputs of `length` keys cut at `lengths`, no gradient for the inputs in `subset`."""
     runs = []
     for op in (ad.attention, composed_attention):
-        tensors, _ = attention_inputs([length] * batch, length, 32)
+        tensors = attention_inputs(len(lengths), length, 32)
         for i in subset:
             tensors[i].requires_grad = False
         w = np.random.default_rng(1).normal(size=tensors[0].shape)
-        runs.append(run_with_residual(lambda *t: op(*t, mask, heads), tensors, w))
+        runs.append(run_with_residual(lambda *t: op(*t, lengths, heads), tensors, w))
     return runs
 
 
-# key masks over 32 positions that engage `attention`'s key cut: three rows,
-# of which a batch of one takes the first, and the key width at B=1 and B=3
+# row lengths over 32 keys that engage `attention`'s key cut: three rows, of
+# which a batch of one takes the first, and the key width at B=1 and B=3
 _CUT_CASES = {
     "all_rows_le_4": ([4, 1, 3], (8, 8)),
     "longest_row_9": ([9, 2, 5], (16, 16)),
     "row_of_exactly_8": ([8, 3, 8], (8, 8)),
     "full_row": ([32, 4, 1], (32, 32)),
-    "only_late_column_20": ([{0, 1, 2, 20}, 3, 1], (24, 24)),
     "all_false_row": ([0, 4, 6], (32, 8)),
 }
 
@@ -436,17 +397,17 @@ class TestFusedEncoderOps:
     def test_attention_matches_composed(self, lengths, heads, subset):
         """Run at the encoder's d=32 and length 16: at d=4 a key gradient summed in
         another order (dSᵀ q) still gives the same bits, so it would pass there."""
-        assert_same_run(*attention_runs(mask_rows(lengths, 16), heads, subset))
+        assert_same_run(*attention_runs(lengths, 16, heads, subset))
 
     @pytest.mark.parametrize("subset", _GRAD_SUBSETS.values(), ids=list(_GRAD_SUBSETS))
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("rows, widths", _CUT_CASES.values(), ids=list(_CUT_CASES))
     def test_key_cut_matches_composed(self, rows, widths, batch, subset):
-        """At d=32 and the category length 32, a cut to the keys any row attends
-        to, rounded up to 8, gives the bits of the uncut composition."""
-        mask = mask_rows(rows[:batch], 32)
-        assert ad._key_width(mask) == widths[batch == 3]
-        assert_same_run(*attention_runs(mask, 4, subset))
+        """At d=32 and the category length 32, a cut to the longest length,
+        rounded up to 8, gives the bits of the uncut composition."""
+        lengths = rows[:batch]
+        assert ad._key_width(max(lengths), 32) == widths[batch == 3]
+        assert_same_run(*attention_runs(lengths, 32, 4, subset))
 
     @pytest.mark.parametrize(
         "length, lengths, width", [(160, [20], 24), (256, [3, 60], 64), (200, [5, 17, 100], 200)]
@@ -454,19 +415,22 @@ class TestFusedEncoderOps:
     def test_key_cut_past_numpy_pairwise_block(self, length, lengths, width):
         """Past 128 keys numpy's pairwise sum splits a row: the cut stays inside
         its first leaf (96 of 200 here) or is not taken."""
-        mask = mask_rows(lengths, length)
-        assert ad._key_width(mask) == width
-        assert_same_run(*attention_runs(mask, 4))
+        assert ad._key_width(max(lengths), length) == width
+        assert_same_run(*attention_runs(lengths, length, 4))
 
     @pytest.mark.parametrize(
-        "mask",
-        [np.ones(16, bool), np.ones((2, 16), bool), np.ones((1, 17), bool), np.ones((1, 16))],
-        ids=["L", "2xL", "1x(L+1)", "float"],
+        "longest, length, width",
+        [(0, 32, 32), (8, 32, 8), (9, 32, 16), (5, 5, 5), (40, 32, 32),
+         (20, 160, 24), (60, 256, 64), (100, 200, 200)],
     )
-    def test_key_mask_must_be_bool_batch_by_length(self, mask):
-        tensors, _ = attention_inputs((16,), 16, 8)
-        with pytest.raises(ad.DimensionError, match=r"bool key_mask of shape \(1, 16\)"):
-            ad.attention(*tensors, mask, 2)
+    def test_key_width_is_the_longest_length_rounded_up_to_8(self, longest, length, width):
+        """Uncut for a longest length of 0, past the row (5 of 5 keys rounds to 8) or
+        past the first pairwise leaf of a row over 128 keys."""
+        assert ad._key_width(longest, length) == width
+
+    def test_all_zero_lengths_give_zero_rows(self):
+        tensors = attention_inputs(2, 16, 8)
+        np.testing.assert_array_equal(ad.attention(*tensors, [0, 0], 2).data, 0.0)
 
     @pytest.mark.parametrize("subset", _GRAD_SUBSETS.values(), ids=list(_GRAD_SUBSETS))
     @pytest.mark.parametrize("batch", [1, 3])
@@ -485,10 +449,10 @@ class TestFusedEncoderOps:
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_attention_finite_differences(self, heads):
-        tensors, mask = attention_inputs((5, 1, 3), 5, 4, seed=heads)
+        tensors = attention_inputs(3, 5, 4, seed=heads)
         w = ad.Tensor(np.random.default_rng(2).normal(size=tensors[0].shape))
         check_grad_fd(
-            lambda: weighted_sum(ad.attention(*tensors, mask, heads), w), tensors, tol=1e-4
+            lambda: weighted_sum(ad.attention(*tensors, [5, 1, 3], heads), w), tensors, tol=1e-4
         )
 
     def test_feed_forward_finite_differences(self):
@@ -971,21 +935,17 @@ def weighted_grads(build, params, w):
 
 @st.composite
 def softmax_cases(draw):
-    """(scores, axis, mask) with a random mask that broadcasts and kills whole rows.
+    """(scores, lengths) with random row lengths that broadcast and cut whole rows.
 
-    The mask keeps each position with a drawn probability, is size 1 on some
-    non-softmax axes (broadcast, as the model's masks are), and has some
-    rows, the slices along `axis`, fully masked.
+    The lengths run from 1 past the row's end, are size 1 on some leading
+    axes (broadcast, as the model's are), and are 0 for some rows.
     """
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
-    axis = draw(st.integers(0, len(shape) - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mask_shape = tuple(
-        n if i == axis or rng.random() < 0.7 else 1 for i, n in enumerate(shape)
-    )
-    mask = rng.random(mask_shape) < draw(st.sampled_from([0.3, 0.7, 1.0]))
-    mask &= np.expand_dims(rng.random(np.delete(mask_shape, axis)) >= 0.3, axis)
-    return rng.normal(size=shape) * 3.0, axis, mask
+    lengths_shape = tuple(n if rng.random() < 0.7 else 1 for n in shape[:-1])
+    lengths = rng.integers(1, shape[-1] + 2, size=lengths_shape)
+    lengths[rng.random(lengths_shape) < 0.3] = 0
+    return rng.normal(size=shape) * 3.0, lengths
 
 
 @st.composite
@@ -1033,7 +993,7 @@ def broadcast_matmul_oracle(a, b, g):
 
 
 class TestOpProperties:
-    """Random shapes, axes, masks and broadcasts for the other engine ops.
+    """Random shapes, axes, row lengths and broadcasts for the other engine ops.
 
     Each op is checked against a direct formula and its gradient against
     central differences at `check_grad_fd`'s tolerance.
@@ -1042,21 +1002,21 @@ class TestOpProperties:
     @settings(max_examples=100)
     @given(softmax_cases())
     def test_softmax_with_random_masks(self, case):
-        z, axis, mask = case
+        z, lengths = case
         x = ad.Tensor(z, requires_grad=True)
         w = np.random.default_rng(0).normal(size=z.shape)
-        got, (gx,) = weighted_grads(lambda: ad.softmax(x, axis=axis, mask=mask), [x], w)
+        got, (gx,) = weighted_grads(lambda: ad.softmax(x, lengths), [x], w)
 
-        full = np.broadcast_to(mask, z.shape)
-        e = np.where(full, np.exp(z - np.max(z, axis=axis, keepdims=True)), 0.0)
-        total = e.sum(axis=axis, keepdims=True)
-        dead = np.broadcast_to(~full.any(axis=axis, keepdims=True), z.shape)
+        full = np.broadcast_to(np.arange(z.shape[-1]) < lengths[..., None], z.shape)
+        e = np.where(full, np.exp(z - np.max(z, axis=-1, keepdims=True)), 0.0)
+        total = e.sum(axis=-1, keepdims=True)
+        dead = np.broadcast_to(~full.any(axis=-1, keepdims=True), z.shape)
         want = np.where(dead, 0.0, e / np.where(total > 0, total, 1.0))
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert np.all(got[~full] == 0.0) and np.all(gx[~full] == 0.0)
         assert np.all(got[dead] == 0.0) and np.all(gx[dead] == 0.0)
         check_grad_fd(
-            lambda: weighted_sum(ad.softmax(x, axis=axis, mask=mask), w), [x]
+            lambda: weighted_sum(ad.softmax(x, lengths), w), [x]
         )
 
     @settings(max_examples=60)
@@ -1323,8 +1283,8 @@ class TestDeterminism:
     def test_identical_inputs_bitwise_identical_outputs(self):
         rng = np.random.default_rng(19)
         x = rng.normal(size=(4, 4))
-        a = ad.softmax(ad.Tensor(x), axis=1).data
-        b = ad.softmax(ad.Tensor(x.copy()), axis=1).data
+        a = ad.softmax(ad.Tensor(x), 4).data
+        b = ad.softmax(ad.Tensor(x.copy()), 4).data
         np.testing.assert_array_equal(a, b)
         xc = rng.normal(size=(1, 4, 6, 6))
         k = ad.Tensor(rng.normal(size=(2, 4, 3, 3)))

@@ -955,6 +955,14 @@ class TestPredict:
         assert second == self.predict(data, other, "abc", capsys)
         assert self.parse_rows(second) != self.parse_rows(first)
 
+    def test_probability_at_the_threshold_is_marked(self, tmp_path, capsys):
+        """An untrained model's zero w_x gives every category a logit of 0, so a
+        probability of exactly 0.5: `decide`'s inclusive rule marks each one."""
+        data = gen(tmp_path)
+        ckpt, _ = train(tmp_path, data, ["--epochs", "0"])
+        rows = self.parse_rows(self.predict(data, ckpt, "abc", capsys))
+        assert [(r[3], r[4]) for r in rows] == [(0.5, "*")] * 3
+
     def test_empty_query_uses_unk_path(self, tmp_path, capsys):
         data = gen(tmp_path)
         ckpt, _ = train(tmp_path, data)

@@ -62,9 +62,9 @@ class TestKeyCut:
         widths = []
         softmax = ad._masked_softmax
 
-        def spy(z, axis, mask):
-            widths.append(z.shape[axis])
-            return softmax(z, axis, mask)
+        def spy(z, mask):
+            widths.append(z.shape[-1])
+            return softmax(z, mask)
 
         monkeypatch.setattr(ad, "_masked_softmax", spy)
         config = ModelConfig(vocab_size=12, num_categories=8, d=32)
@@ -245,3 +245,9 @@ class TestBatch:
         p = tiny_params()
         with pytest.raises(ConfigError, match="batch"):
             encode(np.array([2, 5]), [2], p)
+
+    @pytest.mark.parametrize("lengths", [[2], [2, 2, 2], 2], ids=["one", "three", "scalar"])
+    def test_one_length_per_row(self, lengths):
+        """A lengths array would otherwise broadcast: one length for every row."""
+        with pytest.raises(ConfigError, match=r"encode expects 2 lengths"):
+            encode(np.array([[2, 5], [3, 4]]), lengths, tiny_params())

@@ -981,6 +981,42 @@ class TestNoDrawLoad:
         assert got["ms"] < 50
         assert got["rss_kib"] < 10 * 1024
 
+    def test_inflated_encoder_layers_is_refused_before_any_memory_is_written(self, tmp_path):
+        """A d=32 header whose encoder_layers is 1,000 describes 12,000 tensors.
+
+        The model the manifest check compares holds placeholders only, the
+        layer-norm gains and the biases included, so refusing the header
+        writes no array: the child's max RSS rises by under 2 MiB.
+        """
+        data = generate_synthetic(SyntheticConfig())
+        save_vocab(tmp_path / "vocab.txt", data.vocab)
+        save_categories(tmp_path / "categories.tsv", data.categories)
+        config = ModelConfig(vocab_size=len(data.vocab), num_categories=len(data.categories), d=32)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, Model(config, np.random.default_rng(0)), data.vocab, data.categories)
+        rewrite_header(ckpt, lambda h: {**h, "model": {**h["model"], "encoder_layers": 1000}})
+        got = predict_in_child(tmp_path, ckpt)
+        assert got["rc"] == 3
+        assert got["err"] == f"error: {ckpt}: parameter manifest does not match the stored config\n"
+        assert got["rss_kib"] < 2 * 1024
+
+    def test_model_without_rng_allocates_no_array(self):
+        """Every tensor is a zero-stride view of one shared placeholder.
+
+        Only numpy's own allocations are counted: the 12,000 Tensor objects
+        and their names take some 6 MiB of Python memory either way.
+        """
+        config = ModelConfig(vocab_size=40, num_categories=8, d=32, encoder_layers=1000)
+        tracemalloc.start()
+        try:
+            model = Model(config, None)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        assert sum(stat.size for stat in arrays.statistics("filename")) < 2**20
+        assert all(not any(t.data.strides) for _, t in model.parameters())
+
     def test_unallocatable_model_exits_3_naming_the_file(self, trained_files, tmp_path, capsys):
         """d=4,000,000,000 asks numpy at once for a 0.76 TiB embedding table, or, where
         the host overcommits, for a d x d matrix beyond numpy's maximum size."""
