@@ -184,6 +184,22 @@ class TestMaskedSoftmaxBitIdentity:
         got = ad.softmax(ad.Tensor(z), lengths).data
         np.testing.assert_array_equal(got, softmax_exp_of_fills(z, lengths))
 
+    @pytest.mark.parametrize(
+        "z, lengths", _MASKED_SOFTMAX_CASES.values(), ids=list(_MASKED_SOFTMAX_CASES)
+    )
+    def test_broadcast_lengths_are_the_per_row_lengths(self, z, lengths):
+        """Forward and backward, bit for bit, against one length spelled out per row."""
+        w = np.random.default_rng(33).normal(size=z.shape)
+        runs = []
+        for rows in (lengths, np.broadcast_to(lengths, z.shape[:-1]).copy()):
+            x = ad.Tensor(z, requires_grad=True)
+            with np.errstate(invalid="ignore"), ad.Tape() as tape:
+                loss = weighted_sum(ad.softmax(x, rows), w)
+            with np.errstate(invalid="ignore"):
+                ad.backward(loss, tape)
+            runs.append((loss.data.tobytes(), x.grad.tobytes()))
+        assert runs[0] == runs[1]
+
     def test_unmasked_non_finite_scores_match_too(self):
         z = np.array([[np.inf, 1.0, 2.0], [np.nan, 1.0, 2.0]])
         with np.errstate(invalid="ignore"):
@@ -372,6 +388,7 @@ _CUT_CASES = {
     "longest_row_9": ([9, 2, 5], (16, 16)),
     "row_of_exactly_8": ([8, 3, 8], (8, 8)),
     "full_row": ([32, 4, 1], (32, 32)),
+    "longest_row_20": ([20, 3, 1], (24, 24)),
     "all_false_row": ([0, 4, 6], (32, 8)),
 }
 
