@@ -20,6 +20,12 @@ optimizer step) releases it.  Calling ``backward`` twice on the same tape
 therefore doubles the parameter gradients and nothing else, and after it
 returns every tape output's ``.grad`` is ``None``.
 
+A tensor's gradient state (``.grad`` and ``.requires_grad``) lives in a
+small slot that an untaped tensor does not have.  A tape node holds its
+output's slot, not the output tensor, and a backward closure holds its
+inputs' slots and only the arrays it reads, so an array that no backward
+reads is freed as soon as the forward drops it.
+
 Forward results are deterministic: identical inputs produce bit-identical
 outputs (single-threaded numpy, no stochastic ops).
 """
@@ -58,23 +64,56 @@ class Tape:
         return len(self.nodes)
 
 
+class _Grad:
+    """A tensor's gradient state: the slot that tape nodes and backward closures hold.
+
+    A tensor requires grad exactly when it has one; `grad` is its buffer, or None.
+    """
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class _Node:
     __slots__ = ("output", "backward_fn")
 
     def __init__(self, output, backward_fn):
-        self.output = output
+        self.output = output  # the output's _Grad slot, not the tensor
         self.backward_fn = backward_fn
 
 
 class Tensor:
     """Dense n-dimensional float64 array, optionally tracked on a tape."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad = None
+        self._slot = _Grad() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._slot is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        if not value:
+            self._slot = None
+        elif self._slot is None:
+            self._slot = _Grad()
+
+    @property
+    def grad(self):
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._slot is not None:
+            self._slot.grad = value
+        elif value is not None:
+            raise ValueError("a tensor that does not require grad holds no gradient")
 
     @property
     def shape(self):
@@ -87,9 +126,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def __add__(self, other):
         return add(self, other)
@@ -153,12 +189,13 @@ def _record(out, inputs, backward_fn):
     if not _taping(inputs):
         return out
     out.requires_grad = True
-    _tape.nodes.append(_Node(out, backward_fn))
+    _tape.nodes.append(_Node(out._slot, backward_fn))
     return out
 
 
-def _accumulate(t, g, index=None, copy=False):
-    """Add `g` into `t.grad`, or into `t.grad[index]`: an id array's repeats add up, slices take `+=`.
+def _accumulate(slot, g, index=None, shape=None, copy=False):
+    """Add `g` into `slot.grad`, or into `slot.grad[index]` of a `shape` buffer: an id
+    array's repeats add up, slices take `+=`.
 
     The buffer is allocated here, on the first accumulation into it: zeros
     before an indexed add, otherwise `g` itself becomes the buffer.  That
@@ -168,18 +205,18 @@ def _accumulate(t, g, index=None, copy=False):
     input; a read-only `g` (a broadcast view) is always copied.
     """
     if index is not None:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
+        if slot.grad is None:
+            slot.grad = np.zeros(shape)
         if isinstance(index, np.ndarray):
-            np.add.at(t.grad, index, g)
+            np.add.at(slot.grad, index, g)
         else:
-            t.grad[index] += g
-    elif t.grad is not None:
-        t.grad += g
+            slot.grad[index] += g
+    elif slot.grad is not None:
+        slot.grad += g
     elif copy or not g.flags.writeable:
-        t.grad = np.array(g, dtype=np.float64)
+        slot.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad = g
+        slot.grad = g
 
 
 def backward(loss, tape):
@@ -195,8 +232,8 @@ def backward(loss, tape):
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     for node in tape.nodes:  # drop what an interrupted replay left behind
         node.output.grad = None
-    if loss.requires_grad:
-        _accumulate(loss, np.ones_like(loss.data))
+    if loss._slot is not None:
+        _accumulate(loss._slot, np.ones_like(loss.data))
     for node in reversed(tape.nodes):
         out = node.output
         g = out.grad
@@ -224,12 +261,13 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     out = Tensor(a.data + b.data)
+    ga, gb, a_shape, b_shape = a._slot, b._slot, a.shape, b.shape
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape), copy=a.requires_grad)
+        if ga is not None:
+            _accumulate(ga, _unbroadcast(g, a_shape))
+        if gb is not None:
+            _accumulate(gb, _unbroadcast(g, b_shape), copy=ga is not None)
 
     return _record(out, (a, b), bw)
 
@@ -238,16 +276,17 @@ def matmul(a, b):
     """Matrix product over the last two axes; leading axes broadcast as in numpy."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    x, y, ga, gb = a.data, b.data, a._slot, b._slot
+    out = Tensor(x @ y)
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad and b.ndim == 2:
+        if ga is not None:
+            _accumulate(ga, _unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape))
+        if gb is not None and y.ndim == 2:
             # a's leading axes fold into rows: one product, no batch sum
-            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        elif b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            _accumulate(gb, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        elif gb is not None:
+            _accumulate(gb, _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
 
     return _record(out, (a, b), bw)
 
@@ -261,34 +300,35 @@ def transpose(a, axes=None):
     if axes is None:
         axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
     out = Tensor(np.transpose(a.data, axes))
-    inv = np.argsort(axes)
+    ga, inv = a._slot, np.argsort(axes)
 
     def bw(g):
-        _accumulate(a, np.transpose(g, inv))
+        _accumulate(ga, np.transpose(g, inv))
 
     return _record(out, (a,), bw)
 
 
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
+    ga, a_shape = a._slot, a.shape
 
     def bw(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(ga, g.reshape(a_shape))
 
     return _record(out, (a,), bw)
 
 
 def concat(tensors, axis=0):
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    slots = [t._slot for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            if slot is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(sl)])
+                _accumulate(slot, g[tuple(sl)])
 
     return _record(out, tuple(tensors), bw)
 
@@ -297,9 +337,10 @@ def slice_rows(a, lo, hi, axis=0):
     """Rows lo:hi of `a` along `axis`, as a view; backward adds into that row range."""
     index = (slice(None),) * axis + (slice(lo, hi),)
     out = Tensor(a.data[index])
+    ga, a_shape = a._slot, a.shape
 
     def bw(g):
-        _accumulate(a, g, index)
+        _accumulate(ga, g, index, a_shape)
 
     return _record(out, (a,), bw)
 
@@ -308,9 +349,10 @@ def embedding(table, ids):
     """Gather rows of `table` by integer ids; backward scatter-adds rows."""
     ids = np.asarray(ids, dtype=np.int64)
     out = Tensor(table.data[ids])
+    g_table, table_shape = table._slot, table.shape
 
     def bw(g):
-        _accumulate(table, g, ids)
+        _accumulate(g_table, g, ids, table_shape)
 
     return _record(out, (table,), bw)
 
@@ -320,22 +362,25 @@ def embedding(table, ids):
 
 
 def tanh(a):
-    out = Tensor(np.tanh(a.data))
+    y = np.tanh(a.data)
+    ga = a._slot
 
     def bw(g):
-        _accumulate(a, g * (1.0 - out.data * out.data))
+        _accumulate(ga, g * (1.0 - y * y))
 
-    return _record(out, (a,), bw)
+    return _record(Tensor(y), (a,), bw)
 
 
 def relu(a):
-    out = Tensor(np.maximum(a.data, 0.0))
+    """max(a, 0); backward masks by the output, as out > 0 exactly where a > 0 (NaN neither)."""
+    y = np.maximum(a.data, 0.0)
+    ga = a._slot
 
     def bw(g):
         # derivative at exactly 0 defined as 0
-        _accumulate(a, g * (a.data > 0.0))
+        _accumulate(ga, g * (y > 0.0))
 
-    return _record(out, (a,), bw)
+    return _record(Tensor(y), (a,), bw)
 
 
 def stable_sigmoid(x):
@@ -360,10 +405,11 @@ def sigmoid_cross_entropy(z, y):
         raise DimensionError(f"sigmoid_cross_entropy: logits {x.shape} vs targets {y.shape}")
     scale = 1.0 / max(1, math.prod(x.shape[:-1]))
     out = Tensor((np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - x * y).sum() * scale)
+    gz = z._slot
 
     def bw(g):
         s = g * scale
-        _accumulate(z, s * stable_sigmoid(x) - s * y)
+        _accumulate(gz, s * stable_sigmoid(x) - s * y)
 
     return _record(out, (z,), bw)
 
@@ -380,12 +426,13 @@ def softmax(a, lengths):
     length are excluded from the normalization and come out exactly 0; a
     row of length 0 is all zeros rather than NaN.
     """
-    out = Tensor(_masked_softmax(a.data, length_mask(lengths, a.shape[-1])))
+    y = _masked_softmax(a.data, length_mask(lengths, a.shape[-1]))
+    ga = a._slot
 
     def bw(g):
-        _accumulate(a, _softmax_grad(out.data, g))
+        _accumulate(ga, _softmax_grad(y, g))
 
-    return _record(out, (a,), bw)
+    return _record(Tensor(y), (a,), bw)
 
 
 def _masked_softmax(z, mask):
@@ -425,18 +472,20 @@ def layer_norm(x, gamma, beta, eps):
     centered = x.data - mu
     s = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
     normed = centered / s
-    out = Tensor(normed * gamma.data + beta.data)
+    gd = gamma.data
+    out = Tensor(normed * gd + beta.data)
+    gx, g_gamma, g_beta, beta_shape = x._slot, gamma._slot, beta._slot, beta.shape
 
     def bw(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * normed, gamma.data.shape))
-        if x.requires_grad:
-            h = g * gamma.data
+        if g_gamma is not None:
+            _accumulate(g_gamma, _unbroadcast(g * normed, gd.shape))
+        if gx is not None:
+            h = g * gd
             h_mean = h.mean(axis=-1, keepdims=True)
             hn_mean = (h * normed).mean(axis=-1, keepdims=True)
-            _accumulate(x, (h - h_mean - normed * hn_mean) / s)
-        if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.data.shape))
+            _accumulate(gx, (h - h_mean - normed * hn_mean) / s)
+        if g_beta is not None:
+            _accumulate(g_beta, _unbroadcast(g, beta_shape))
 
     return _record(out, (x, gamma, beta), bw)
 
@@ -468,7 +517,8 @@ def attention(x, w_q, w_k, w_v, w_o, lengths, heads):
     `lengths[i]` keys of row i, the keys past it getting exactly zero weight.
     Logits depend bit for bit on the forward's order of numpy operations,
     and gradients on backward repeating the composed ops' backward order.
-    Holds q, k, v, attn and the merged heads, not the scores.
+    Holds its input, q, the scored keys and values, attn and the merged
+    heads: not the scores, nor its output.
 
     Only the first `_key_width` keys, the longest length rounded up to 8,
     are scored, mixed and held: attn is [B, H, L, width], and backward gives
@@ -484,23 +534,27 @@ def attention(x, w_q, w_k, w_v, w_o, lengths, heads):
     batch, length, d = xd.shape
     dh = d // heads
     width = _key_width(int(np.max(lengths)), length)
+    wq, wk, wv, wo = (w.data for w in (w_q, w_k, w_v, w_o))
+    gx, g_wq, g_wk, g_wv, g_wo = (t._slot for t in (x, w_q, w_k, w_v, w_o))
 
-    def split(proj):  # [B, L, d] -> [B, H, L, dh] view
-        return proj.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3)
+    def split(proj):  # [B, n, d] -> [B, H, n, dh] view
+        return proj.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
 
-    q, k, v = (split(xd @ w.data) for w in (w_q, w_k, w_v))
-    k, v = k[:, :, :width], v[:, :, :width]
+    q = split(xd @ wq)
+    # a copy when the cut drops keys, so the full projections are not held
+    k, v = (split(np.ascontiguousarray((xd @ w)[:, :width])) for w in (wk, wv))
     scale = 1.0 / math.sqrt(dh)
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= scale
     attn = _masked_softmax(scores, length_mask(lengths, width)[:, None, None])
-    merged = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, length, d)
-    out = Tensor(merged @ w_o.data)
+    merged = np.empty((batch, length, d))
+    np.matmul(attn, v, out=split(merged))  # the heads written straight into [B, L, d]
+    out = Tensor(merged @ wo)
 
     def bw(g):
-        if w_o.requires_grad:
-            _accumulate(w_o, merged.reshape(-1, d).T @ g.reshape(-1, d))
-        g_heads = split(g @ w_o.data.T)  # dLoss/d(attn @ v)
+        if g_wo is not None:
+            _accumulate(g_wo, merged.reshape(-1, d).T @ g.reshape(-1, d))
+        g_heads = split(g @ wo.T)  # dLoss/d(attn @ v)
         d_scores = _softmax_grad(attn, g_heads @ np.swapaxes(v, -1, -2))
         d_scores *= scale
         g_v = np.swapaxes(attn, -1, -2) @ g_heads  # [B, H, width, dh]
@@ -511,12 +565,13 @@ def attention(x, w_q, w_k, w_v, w_o, lengths, heads):
             g_k = np.pad(g_k, ((0, 0), (0, 0), (0, 0), (0, length - width)))
         g_v, g_k = g_v.transpose(0, 2, 1, 3), g_k.transpose(0, 3, 1, 2)
         g_q = (d_scores @ k).transpose(0, 2, 1, 3)
-        for w, g_proj in ((w_v, g_v), (w_k, g_k), (w_q, g_q)):  # the composed order
+        # v, k, q: the composed order
+        for w, g_w, g_proj in ((wv, g_wv, g_v), (wk, g_wk, g_k), (wq, g_wq, g_q)):
             g_proj = g_proj.reshape(batch, length, d)
-            if x.requires_grad:
-                _accumulate(x, g_proj @ w.data.T)
-            if w.requires_grad:
-                _accumulate(w, xd.reshape(-1, d).T @ g_proj.reshape(-1, d))
+            if gx is not None:
+                _accumulate(gx, g_proj @ w.T)
+            if g_w is not None:
+                _accumulate(g_w, xd.reshape(-1, d).T @ g_proj.reshape(-1, d))
 
     return _record(out, (x, w_q, w_k, w_v, w_o), bw)
 
@@ -528,24 +583,27 @@ def feed_forward(x, w1, b1, w2, b2):
     derivative, 1 where the pre-activation is > 0, is 1 exactly where the
     hidden value is > 0.
     """
-    h = x.data @ w1.data
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    gx, g_w1, g_b1, g_w2, g_b2 = (t._slot for t in (x, w1, b1, w2, b2))
+    b1_shape, b2_shape = b1.shape, b2.shape
+    h = xd @ w1d
     h += b1.data
     np.maximum(h, 0.0, out=h)
-    out = Tensor(h @ w2.data + b2.data)
+    out = Tensor(h @ w2d + b2.data)
 
     def bw(g):
-        if b2.requires_grad:
-            _accumulate(b2, _unbroadcast(g, b2.data.shape), copy=True)
-        if w2.requires_grad:
-            _accumulate(w2, h.reshape(-1, h.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        g_pre = g @ w2.data.T
+        if g_b2 is not None:
+            _accumulate(g_b2, _unbroadcast(g, b2_shape), copy=True)
+        if g_w2 is not None:
+            _accumulate(g_w2, h.reshape(-1, h.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        g_pre = g @ w2d.T
         g_pre *= h > 0.0
-        if b1.requires_grad:
-            _accumulate(b1, _unbroadcast(g_pre, b1.data.shape), copy=True)
-        if x.requires_grad:
-            _accumulate(x, g_pre @ w1.data.T)
-        if w1.requires_grad:
-            _accumulate(w1, x.data.reshape(-1, x.shape[-1]).T @ g_pre.reshape(-1, h.shape[-1]))
+        if g_b1 is not None:
+            _accumulate(g_b1, _unbroadcast(g_pre, b1_shape), copy=True)
+        if gx is not None:
+            _accumulate(gx, g_pre @ w1d.T)
+        if g_w1 is not None:
+            _accumulate(g_w1, xd.reshape(-1, xd.shape[-1]).T @ g_pre.reshape(-1, h.shape[-1]))
 
     return _record(out, (x, w1, b1, w2, b2), bw)
 
@@ -599,10 +657,14 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
     The result equals a loop max-pool of a loop correlation, but the map
     never exists: for each pool offset, in row-major order, one matmul
     computes only the positions that offset reads and a running maximum
-    folds them in.  A taped call keeps each window's first maximum offset
-    (ph*pw for a NaN window, which routes no gradient); backward masks the
-    gradient by it, offsets descending, so overlapping windows add into an
-    input in row-major window order.
+    folds them in.  The bias is added once, to that maximum: rounding x + b
+    is monotone in x, so this is the maximum of the biased values, bit for
+    bit.  A taped call keeps each window's first maximum offset among the
+    unbiased sums (ph*pw for a window NaN after the bias, which routes no
+    gradient); backward masks the gradient by it, offsets descending, so
+    overlapping windows add into an input in row-major window order.  The
+    node holds the input in its batch-innermost layout and those offsets,
+    not the output.
 
     The shapes are logical: the work runs on a batch-innermost [C,H,W,N]
     memory layout, so every slice copy and strided add covers contiguous
@@ -656,40 +718,40 @@ def conv2d(x, kernels, bias, stride=(1, 1), pool=((1, 1), (1, 1))):
         first = np.zeros(out_t.shape, dtype=np.min_scalar_type(ph * pw))
         gain = np.empty(out_t.shape, dtype=bool)
     for k, (p, q) in enumerate(offsets):
-        target = out_t if k == 0 else conv_t
-        np.matmul(k_rows, fill_columns(cols, p, q), out=target)
-        target += bias.data[:, None]
+        np.matmul(k_rows, fill_columns(cols, p, q), out=out_t if k == 0 else conv_t)
         if k == 0:
             continue
         if taped:  # strictly greater: a tie keeps the earlier offset
             np.copyto(first, k, where=np.greater(conv_t, out_t, out=gain))
         np.maximum(out_t, conv_t, out=out_t)
+    out_t += bias.data[:, None]
     if taped:
         np.copyto(first, ph * pw, where=np.isnan(out_t, out=gain))
     out = Tensor(_from_batch_innermost(out_t.reshape(cout, po, qo, n)))
+    gx, g_kernels, g_bias = x._slot, kernels._slot, bias._slot
 
     def bw(g):
         gt = _batch_innermost(g).reshape(cout, -1)  # [cout, po*qo*n]
         hit = np.empty(gt.shape, dtype=bool)
         g_rows = np.empty_like(gt)
         cols, g_cols = np.empty((2, cin * kh * kw, po * qo * n))  # the forward's cols are not kept
-        if x.requires_grad:
+        if gx is not None:
             gxt = np.zeros_like(xt)
             g_windows = windows(gxt, writeable=True)
         for k, (p, q) in reversed(list(enumerate(offsets))):
             np.multiply(gt, np.equal(first, k, out=hit), out=g_rows)
-            if bias.requires_grad:
-                _accumulate(bias, g_rows.sum(axis=1))
-            if kernels.requires_grad:
-                _accumulate(kernels, (g_rows @ fill_columns(cols, p, q).T).reshape(kd.shape))
-            if x.requires_grad:
+            if g_bias is not None:
+                _accumulate(g_bias, g_rows.sum(axis=1))
+            if g_kernels is not None:
+                _accumulate(g_kernels, (g_rows @ fill_columns(cols, p, q).T).reshape(kd.shape))
+            if gx is not None:
                 # g_cols[c,a,b,i,j,m] = sum_o k[o,c,a,b] * g[o,i,j,m]
                 taps = np.matmul(k_rows.T, g_rows, out=g_cols).reshape(cin, kh, kw, po, qo, n)
                 for a in range(kh):
                     for b in range(kw):
                         g_windows[:, a, b, p, q] += taps[:, a, b]
-        if x.requires_grad:
-            _accumulate(x, _from_batch_innermost(gxt))
+        if gx is not None:
+            _accumulate(gx, _from_batch_innermost(gxt))
 
     return _record(out, (x, kernels, bias), bw)
 

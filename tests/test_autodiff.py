@@ -572,6 +572,19 @@ class TestMaxpool2d:
         ad.backward(out, tape)
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
+    def test_negative_zero_pools_to_positive_zero(self):
+        """The unit conv's zero bias, added after the max, turns a -0.0 maximum into +0.0."""
+        x = ad.Tensor(np.array([[[[-0.0, -0.0], [-0.0, -1.0]], [[-1.0, -0.0], [0.0, -0.0]]]]),
+                      requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.maxpool2d(x, (2, 2), (2, 2))
+            loss = total(out)
+        assert not np.signbit(out.data).any()
+        np.testing.assert_array_equal(out.data, 0.0)
+        ad.backward(loss, tape)
+        # the first row-major maximum of each window: -0.0 and +0.0 tie
+        np.testing.assert_array_equal(x.grad, [[[[1, 0], [0, 0]], [[0, 1], [0, 0]]]])
+
     def test_overlapping_windows_accumulate(self):
         rng = np.random.default_rng(10)
         x = ad.Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
@@ -788,6 +801,34 @@ class TestPooledConv2d:
             np.testing.assert_array_equal(got[0], want[0])
         for g, r in zip(got[1:], want[1:]):
             assert scaled_err(g, r) <= 1e-12
+
+    @pytest.mark.parametrize("bias", ["drawn", "zero", "negative"])
+    @pytest.mark.parametrize("kind", ["dyadic", "ties"])
+    @pytest.mark.parametrize("case", _POOLED_CASES, ids=[c[0] for c in _POOLED_CASES])
+    def test_bias_after_the_max_equals_bias_before(self, case, kind, bias):
+        """conv2d adds the bias once, to the pooled maximum; the loop oracles add it to
+        every conv value before the max.  With exact arithmetic, ties included, the
+        output and all three gradients are equal bit for bit."""
+        _, n, cin, h, w, kernel, stride, window, pool_stride = case
+        rng = np.random.default_rng(36)
+        make = _POOLED_INPUTS[kind]
+        x, k = make(rng, (n, cin, h, w)), make(rng, (4, cin, *kernel))
+        b = {"drawn": make(rng, (4,)), "zero": np.zeros(4),
+             "negative": -np.abs(make(rng, (4,))) - 1.0}[bias]
+        conv = conv2d_loop(x, k, b, stride)
+        want = maxpool2d_loop(conv, window, pool_stride)
+        g = make(rng, want.shape)
+        want_grads = conv2d_loop_backward(
+            x, k, maxpool2d_loop_backward(conv, window, pool_stride, g), stride
+        )
+        tensors = [ad.Tensor(a, requires_grad=True) for a in (x, k, b)]
+        with ad.Tape() as tape:
+            out = ad.conv2d(*tensors, stride=stride, pool=(window, pool_stride))
+            loss = weighted_sum(out, g)
+        ad.backward(loss, tape)
+        np.testing.assert_array_equal(out.data, want)
+        for t, ref in zip(tensors, want_grads):
+            np.testing.assert_array_equal(t.grad, ref)
 
     def test_ties_route_to_the_first_row_major_maximum(self):
         x = ad.Tensor(np.full((1, 1, 3, 3), 2.0), requires_grad=True)
@@ -1231,6 +1272,9 @@ class TestBackward:
         x = ad.Tensor(np.ones(3), requires_grad=True)
         out = x + x
         assert not out.requires_grad and out.grad is None
+        out.grad = None  # releasing a gradient it does not hold is a no-op
+        with pytest.raises(ValueError, match="does not require grad"):
+            out.grad = np.ones(3)
 
 
 class TestShapeOps:

@@ -18,7 +18,6 @@ from intentmatch import cli
 EXEMPT = {
     "autodiff.maxpool2d": "C2 checks pooling through it, and perfbench hooks it",
     "autodiff.Tape.__len__": "perfbench's node count, and the tests' tape-length pins",
-    "autodiff.Tensor.__repr__": "debugging",
     "textdata.filter_labels_by_cdf": "C8, the click-CDF label filter",
 }
 
